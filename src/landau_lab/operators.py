@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import sparse
 
 from .coefficients import MatrixField, matrix_component_pairs
 from .grid import ScalarField, VelocityGrid
@@ -262,6 +263,39 @@ class DiffusionOperator:
                 aij = self._abar_comp(i, j)
                 acc += float(np.sum(aij * (gxp[i] * gyp[j] + gxm[i] * gym[j])))
         return 0.5 * acc * self.spacing**self.dim
+
+    def matrix(self) -> sparse.csr_matrix:
+        """
+        The operator assembled as a CSR matrix.  ``apply`` is probed with 3^d
+        colored indicator vectors: the stencil spans 3 nodes per axis, so two
+        nodes of one color (equal indices mod 3) never share a row (Curtis,
+        Powell & Reid 1974), and each nonzero of a probe response belongs to
+        the one node of that color in the row's neighborhood.
+        """
+        shape = self.grid.shape
+        n = self.grid.n_nodes
+        coords = np.indices(shape, dtype=np.int32)
+        colors = list(itertools.product(range(3), repeat=self.dim))
+        vals = np.empty((len(colors), n))
+        cols = np.empty((len(colors), n), dtype=np.int32)
+        for c, offsets in enumerate(colors):
+            probe = np.ones(shape, dtype=bool)
+            for ax, o in enumerate(offsets):
+                probe &= coords[ax] % 3 == o
+            vals[c] = self.apply(probe.astype(float)).ravel()
+            # the neighbor of color c along each axis; off-grid ones are clipped,
+            # their rows read exactly zero and are dropped below
+            nb = [coords[ax] + (o - coords[ax] + 1) % 3 - 1 for ax, o in enumerate(offsets)]
+            cols[c] = np.ravel_multi_index(nb, shape, mode="clip").ravel()
+        del coords
+        keep = (vals != 0.0).T
+        data, indices = vals.T[keep], cols.T[keep]
+        del vals, cols
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        mat.sort_indices()
+        return mat
 
     def diagonal(self) -> np.ndarray:
         """Exact diagonal of the operator matrix (for Jacobi preconditioning)."""

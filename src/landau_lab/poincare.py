@@ -16,9 +16,10 @@ for compact support.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coefficients import CoefficientBundle, build_coefficients
@@ -59,46 +60,57 @@ class LambdaCurve:
 def _top_eigenvalue(
     h: np.ndarray,
     diffusion: DiffusionOperator,
+    S,
     eps: float,
     mass_weight: np.ndarray | None = None,
     tol: float = 1e-6,
     maxiter: int = 10_000,
-) -> tuple[float, int, float]:
-    """Largest eigenvalue of diag(h) + eps * L (generalized when weighted)."""
+    v0: np.ndarray | None = None,
+) -> tuple[float, int, float, np.ndarray]:
+    """
+    Largest eigenvalue of K = diag(h) + eps * L, or of the pencil (K, W) when
+    a mass weight W is given.  ``S`` is ``diffusion.matrix()``.  The pencil is
+    solved as the standard symmetric problem W^{-1/2} K W^{-1/2}.  Returns the
+    eigenvalue, the operator applies, the relative residual of the Ritz pair
+    recomputed with the matrix-free ``diffusion.apply`` in the original
+    variables, and the eigenvector in the solved variables (a warm start for
+    the next epsilon).
+    """
     shape = h.shape
     n = h.size
+    hflat = h.ravel()
+    s = None if mass_weight is None else 1.0 / np.sqrt(mass_weight.ravel())
     counter = {"applies": 0}
 
     def matvec(x):
         counter["applies"] += 1
-        xx = x.reshape(shape)
-        out = h * xx + eps * diffusion.apply(xx)
-        return out.ravel()
+        if s is None:
+            return hflat * x + eps * (S @ x)
+        sx = s * x
+        return s * (hflat * sx + eps * (S @ sx))
+
+    def residual(lam, y):
+        phi = y if s is None else s * y
+        lhs = hflat * phi + eps * diffusion.apply(phi.reshape(shape)).ravel()
+        rhs = lam * phi if mass_weight is None else lam * mass_weight.ravel() * phi
+        return float(np.linalg.norm(lhs - rhs) / max(abs(lam), 1e-300))
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = 1.0 + h.ravel() / (1.0 + np.max(np.abs(h)))
-    kwargs = {}
-    if mass_weight is not None:
-        minv = 1.0 / mass_weight.ravel()
-        kwargs["M"] = LinearOperator((n, n), matvec=lambda x: mass_weight.ravel() * x, dtype=float)
-        kwargs["Minv"] = LinearOperator((n, n), matvec=lambda x: minv * x, dtype=float)
+    if v0 is None:
+        v0 = 1.0 + hflat / (1.0 + np.max(np.abs(h)))
     try:
-        vals, vecs = eigsh(op, k=1, which="LA", tol=tol, maxiter=maxiter, v0=v0, **kwargs)
+        vals, vecs = eigsh(op, k=1, which="LA", tol=tol, maxiter=maxiter, v0=v0)
     except ArpackNoConvergence as exc:
         res = float("nan")
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            res = float(exc.eigenvalues[-1])
+        if exc.eigenvectors is not None and exc.eigenvectors.size:
+            res = residual(float(exc.eigenvalues[-1]), exc.eigenvectors[:, -1])
         raise IterationError(
-            f"eigenvalue iteration did not converge within {maxiter} restarts", residual=res
+            f"eigenvalue iteration did not converge within {maxiter} restarts "
+            f"(last Ritz residual {res:.3g})",
+            residual=res,
         ) from exc
     lam = float(vals[0])
-    phi = vecs[:, 0]
-    lhs = matvec(phi)
-    if mass_weight is not None:
-        resid = float(np.linalg.norm(lhs - lam * mass_weight.ravel() * phi) / max(abs(lam), 1e-300))
-    else:
-        resid = float(np.linalg.norm(lhs - lam * phi) / max(abs(lam), 1e-300))
-    return lam, counter["applies"], resid
+    return lam, counter["applies"], residual(lam, vecs[:, 0]), vecs[:, 0]
 
 
 def lambda_f(
@@ -114,7 +126,7 @@ def lambda_f(
     if bundle is None:
         return 0.0
     L = DiffusionOperator(bundle.A, bc="dirichlet")
-    lam, _, _ = _top_eigenvalue(bundle.h.values, L, epsilon, mass_weight, tol, maxiter)
+    lam, _, _, _ = _top_eigenvalue(bundle.h.values, L, L.matrix(), epsilon, mass_weight, tol, maxiter)
     return lam
 
 
@@ -138,7 +150,11 @@ def lambda_curve(
     maxiter: int = 10_000,
     weight_name: str = "none",
 ) -> LambdaCurve:
-    """Evaluate the functional on a grid of epsilons (default 8 points in [1e-3, 1])."""
+    """
+    Evaluate the functional on a grid of epsilons (default 8 points in
+    [1e-3, 1]).  The operator is assembled once per curve, and each epsilon
+    starts from the eigenvector of the one before.
+    """
     bundle = _as_bundle(f_or_bundle, gamma)
     if epsilons is None:
         epsilons = np.logspace(-3, 0, 8)
@@ -147,9 +163,11 @@ def lambda_curve(
         zeros = [0.0] * len(epsilons)
         return LambdaCurve(gamma or 0.0, (), epsilons, zeros, [0] * len(epsilons), zeros, weight_name)
     L = DiffusionOperator(bundle.A, bc="dirichlet")
+    S = L.matrix()
     lams, iters, resids = [], [], []
+    v0 = None
     for eps in sorted(epsilons):
-        lam, it, res = _top_eigenvalue(bundle.h.values, L, eps, mass_weight, tol, maxiter)
+        lam, it, res, v0 = _top_eigenvalue(bundle.h.values, L, S, eps, mass_weight, tol, maxiter, v0)
         lams.append(lam)
         iters.append(it)
         resids.append(res)
@@ -195,7 +213,17 @@ def verify_eps_poincare(
         bundle = build_coefficients(f, gamma)
     curve = lambda_curve(bundle, epsilons=epsilons, tol=tol)
     bracket = (1.0 + f.grid.radius_squared()) ** (gamma / 2.0)
-    wcurve = lambda_curve(bundle, epsilons=epsilons, mass_weight=bracket, tol=tol, weight_name="bracket_gamma")
+    if np.all(bracket == 1.0):  # gamma = 0: the weighted problem is the plain one
+        wcurve = replace(
+            curve,
+            epsilons=list(curve.epsilons),
+            lambdas=list(curve.lambdas),
+            iterations=[0] * len(curve.epsilons),
+            residuals=list(curve.residuals),
+            weight="bracket_gamma",
+        )
+    else:
+        wcurve = lambda_curve(bundle, epsilons=epsilons, mass_weight=bracket, tol=tol, weight_name="bracket_gamma")
     slope, rms = _slope(curve.epsilons, curve.lambdas, fit_points)
     wslope, wrms = _slope(wcurve.epsilons, wcurve.lambdas, fit_points)
     out = {
@@ -335,8 +363,12 @@ def gks_check(f: ScalarField, p: float, bundle: CoefficientBundle | None = None)
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "degenerate": False}
 
 
-def dense_top_eigenvalue(bundle: CoefficientBundle, eps: float) -> float:
-    """Full dense eigensolve of the coercivity operator (oracle for small grids)."""
+def dense_top_eigenvalue(bundle: CoefficientBundle, eps: float, mass_weight: np.ndarray | None = None) -> float:
+    """
+    Full dense eigensolve of the coercivity operator, generalized with the
+    mass weight when one is given (oracle for small grids).  Built from
+    ``apply`` columns, independent of the assembled matrix.
+    """
     grid = bundle.grid
     n = grid.n_nodes
     if n > 4096:
@@ -349,5 +381,6 @@ def dense_top_eigenvalue(bundle: CoefficientBundle, eps: float) -> float:
         flat[j] = 1.0
         mat[:, j] = (bundle.h.values * e + eps * L.apply(e)).ravel()
         flat[j] = 0.0
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    return float(w[-1])
+    mass = None if mass_weight is None else np.diag(mass_weight.ravel())
+    w = scipy.linalg.eigh(0.5 * (mat + mat.T), mass, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    return float(w[0])

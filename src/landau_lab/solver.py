@@ -436,7 +436,10 @@ def _imex_solve(split: SplitOperator, dt: float, rhs: np.ndarray, tol: float = 1
     x0 = (rhs / mref).ravel()
     sol, info = cg(op, rhs.ravel(), x0=x0, rtol=tol, atol=0.0, M=pre, maxiter=4000)
     if info != 0:
-        raise IterationError(f"implicit diffusion solve failed (cg info={info})")
+        res = float(np.linalg.norm(rhs.ravel() - matvec(sol)) / np.linalg.norm(rhs))
+        raise IterationError(
+            f"implicit diffusion solve failed (cg info={info}, relative residual {res:.3g})", residual=res
+        )
     return mref * sol.reshape(shape)
 
 

@@ -106,6 +106,20 @@ def test_diagonal_matches_operator(rng):
             assert L.apply(e)[idx] == pytest.approx(d[idx], rel=1e-12, abs=1e-12)
 
 
+def test_matrix_matches_operator(rng):
+    for n in (8, 10):
+        g, A, _ = _smooth_setup(n)
+        w = rng.uniform(0.5, 2.0, size=(n - 1,) * 3)
+        for bc, cell_weight in (("flux", None), ("dirichlet", None), ("flux", w)):
+            L = DiffusionOperator(A, bc=bc, cell_weight=cell_weight)
+            S = L.matrix()
+            x = rng.normal(size=g.shape)
+            ref = L.apply(x).ravel()
+            assert np.linalg.norm(S @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
+            assert abs(S - S.T).max() <= 1e-14 * abs(S).max()
+            assert np.allclose(S.diagonal(), L.diagonal().ravel(), rtol=1e-12, atol=0.0)
+
+
 def test_quadratic_form_matches_operator(rng):
     g, A, _ = _smooth_setup(8)
     L = DiffusionOperator(A, bc="flux")

@@ -47,10 +47,18 @@ def test_lambda_scaling_in_density(grid12, bundle12):
 
 
 def test_lambda_matches_dense_oracle(bundle12):
+    epsilons = [0.01, 0.3, 1.0]
+    dense = {eps: dense_top_eigenvalue(bundle12, eps) for eps in epsilons}
     for eps in (0.01, 0.3):
         lam = lambda_f(bundle12, epsilon=eps, tol=1e-10)
-        dense = dense_top_eigenvalue(bundle12, eps)
-        assert lam == pytest.approx(dense, rel=1e-6)
+        assert lam == pytest.approx(dense[eps], rel=1e-6)
+    # warm-started curve, plain and bracket-weighted at gamma = -1
+    bracket = (1.0 + bundle12.grid.radius_squared()) ** -0.5
+    curve = lambda_curve(bundle12, epsilons=epsilons, tol=1e-10)
+    wcurve = lambda_curve(bundle12, epsilons=epsilons, mass_weight=bracket, tol=1e-10)
+    for eps, lam, wlam in zip(epsilons, curve.lambdas, wcurve.lambdas):
+        assert lam == pytest.approx(dense[eps], rel=1e-6)
+        assert wlam == pytest.approx(dense_top_eigenvalue(bundle12, eps, mass_weight=bracket), rel=1e-6)
 
 
 def test_lambda_refinement_stability():
@@ -62,9 +70,36 @@ def test_lambda_refinement_stability():
     assert abs(vals[1] - vals[0]) / vals[1] < 0.05
 
 
-def test_lambda_iteration_cap(bundle12):
-    with pytest.raises(IterationError):
+def test_lambda_iteration_cap(bundle12, monkeypatch):
+    with pytest.raises(IterationError) as info:
         lambda_f(bundle12, epsilon=0.3, maxiter=1, tol=1e-14)
+    assert np.isnan(info.value.residual)  # ARPACK returned no Ritz pair
+    # a capped run that does return a Ritz pair reports that pair's residual
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from landau_lab import poincare
+    from landau_lab.operators import DiffusionOperator
+
+    shape = bundle12.grid.shape
+    y = np.random.default_rng(0).normal(size=bundle12.grid.n_nodes)
+    y /= np.linalg.norm(y)
+    ritz = 0.5
+
+    def capped_eigsh(*args, **kwargs):
+        raise ArpackNoConvergence("capped", np.array([ritz]), y[:, None])
+
+    monkeypatch.setattr(poincare, "eigsh", capped_eigsh)
+    L = DiffusionOperator(bundle12.A, bc="dirichlet")
+    bracket = (1.0 + bundle12.grid.radius_squared()) ** -0.5
+    for weight in (None, bracket):
+        w = np.ones(shape) if weight is None else weight
+        phi = (y / np.sqrt(w.ravel())).reshape(shape)
+        k_phi = bundle12.h.values * phi + 0.3 * L.apply(phi)
+        expected = np.linalg.norm(k_phi - ritz * w * phi) / ritz
+        with pytest.raises(IterationError) as info:
+            lambda_f(bundle12, epsilon=0.3, mass_weight=weight)
+        assert info.value.residual == pytest.approx(expected, rel=1e-12)
+        assert info.value.residual != ritz
 
 
 def test_verify_eps_poincare_structure(grid12):
@@ -76,6 +111,9 @@ def test_verify_eps_poincare_structure(grid12):
     assert -0.15 <= rep["slope"] <= 0.05
     assert rep["lambda_max"] <= 1.0 + 1e-6  # gamma = 0 reaction is the mass
     assert len(rep["weighted_curve"].lambdas) == 5
+    # gamma = 0: the bracket weight is 1, so the weighted curve is the plain one, unsolved
+    assert rep["weighted_curve"].lambdas == rep["curve"].lambdas
+    assert rep["weighted_curve"].iterations == [0] * 5
 
 
 def test_verify_eps_poincare_slope_invariant_under_scaling(grid12):

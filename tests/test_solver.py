@@ -284,3 +284,28 @@ def test_krieger_strain_radial_monotonicity(grid24):
     n2 = grid24.points_per_axis // 2
     ray = f1[n2:, n2, n2]  # along the positive first axis
     assert np.all(np.diff(ray) <= 1e-12 * np.max(ray))
+
+
+def test_imex_solve_failure_reports_residual(monkeypatch, rng):
+    from landau_lab import solver
+    from landau_lab.errors import IterationError
+
+    g = make_grid(3, 4.0, 8)
+    M = maxwellian(g)
+    split = solver.make_split_operator(build_coefficients(M, 0.0), reference_gaussian(M))
+    rhs = M.values * rng.uniform(0.5, 1.5, size=g.shape)
+    real_cg = solver.cg
+    returned = {}
+
+    def capped_cg(A, b, **kwargs):
+        x, info = real_cg(A, b, **{**kwargs, "maxiter": 2})
+        returned["x"] = x.reshape(g.shape)
+        return x, info
+
+    monkeypatch.setattr(solver, "cg", capped_cg)
+    with pytest.raises(IterationError) as info:
+        solver._imex_solve(split, 0.1, rhs)
+    x = returned["x"]
+    resid = np.linalg.norm(rhs - (split.mref.values * x - 0.1 * split.diffusion.apply(x))) / np.linalg.norm(rhs)
+    assert info.value.residual == pytest.approx(resid, rel=1e-12)
+    assert f"relative residual {resid:.3g}" in str(info.value)
