@@ -44,11 +44,12 @@ class EigenSolveError(LandauLabError, RuntimeError):
 
 
 class IterationError(LandauLabError, RuntimeError):
-    """Iterative solver did not converge; carries the last residual."""
+    """Iterative solver did not converge; carries the last residual (and iterate, for linear solves)."""
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, iterate=None):
         super().__init__(message)
         self.residual = residual
+        self.iterate = iterate
 
 
 class StabilityError(LandauLabError, RuntimeError):

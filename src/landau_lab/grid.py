@@ -23,6 +23,7 @@ from .errors import (
     NonNegativityError,
     SnapshotFormatError,
 )
+from .report import atomic_write_bytes
 
 #: refuse to allocate lattices above this node count
 DEFAULT_NODE_CAP = 2**25
@@ -395,14 +396,15 @@ def random_density(grid: VelocityGrid, rng: np.random.Generator, n_modes: int = 
 
 
 def write_field(path, f: ScalarField):
-    """Write the binary snapshot: magic "LLF1", dim, N, L (little-endian 64-bit), then float64 values in C order."""
+    """
+    Write the binary snapshot atomically: magic "LLF1", dim, N, L
+    (little-endian 64-bit), then float64 values in C order.
+    """
     header = _SNAPSHOT_MAGIC + struct.pack(
         "<qqd", f.grid.dim, f.grid.points_per_axis, f.grid.half_extent
     )
     payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    atomic_write_bytes(path, header + payload)
 
 
 def read_field(path) -> ScalarField:

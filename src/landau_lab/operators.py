@@ -266,72 +266,73 @@ class DiffusionOperator:
 
     def matrix(self) -> sparse.csr_matrix:
         """
-        The operator assembled as a CSR matrix.  ``apply`` is probed with 3^d
-        colored indicator vectors: the stencil spans 3 nodes per axis, so two
-        nodes of one color (equal indices mod 3) never share a row (Curtis,
-        Powell & Reid 1974), and each nonzero of a probe response belongs to
-        the one node of that color in the row's neighborhood.
+        The operator assembled as a CSR matrix from its closed-form stencil.
+        The base-corner gradient of a cell couples its base node c with
+        c+e_i, and c+e_i with c+e_j; the far-corner gradient does the same
+        around the far node.  A node therefore couples to itself, to its
+        neighbours at +-e_i and to those at +-(e_i - e_j): 1 + d + d^2
+        entries per row, each a sum of cell-averaged components read at
+        shifted cells.  Dirichlet couplings to the ghost layer are dropped,
+        as are exact zeros.
         """
-        shape = self.grid.shape
-        n = self.grid.n_nodes
-        coords = np.indices(shape, dtype=np.int32)
-        colors = list(itertools.product(range(3), repeat=self.dim))
-        vals = np.empty((len(colors), n))
-        cols = np.empty((len(colors), n), dtype=np.int32)
-        for c, offsets in enumerate(colors):
-            probe = np.ones(shape, dtype=bool)
-            for ax, o in enumerate(offsets):
-                probe &= coords[ax] % 3 == o
-            vals[c] = self.apply(probe.astype(float)).ravel()
-            # the neighbor of color c along each axis; off-grid ones are clipped,
-            # their rows read exactly zero and are dropped below
-            nb = [coords[ax] + (o - coords[ax] + 1) % 3 - 1 for ax, o in enumerate(offsets)]
-            cols[c] = np.ravel_multi_index(nb, shape, mode="clip").ravel()
-        del coords
-        keep = (vals != 0.0).T
-        data, indices = vals.T[keep], cols.T[keep]
-        del vals, cols
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        mat.sort_indices()
+        d, h = self.dim, self.spacing
+        n = self.grid.points_per_axis
+        # cells padded with a zero layer: node p reads cell p + s, s in {-1, 0}^d
+        cells = np.pad(self._abar, [(0, 0)] + [(1, 1)] * d)
+        m = cells.shape[1] - 1  # nodes per axis, ghost layer included
+        core = 1 if self.bc == "dirichlet" else 0
+
+        def at(i, j, shift):  # a_ij of cell p + shift, on every node p
+            comp = cells[self._pair_index[(min(i, j), max(i, j))]]
+            return comp[tuple(slice(s + 1 + core, s + 1 + m - core) for s in shift)]
+
+        zero, down = (0,) * d, (-1,) * d
+        unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+        back = [tuple(-e for e in u) for u in unit]  # p - e_i
+        far = [tuple(e - 1 for e in u) for u in unit]  # p + e_i - 1
+        scale = -0.5 / h**2
+        centre = sum(at(i, j, zero) + at(i, j, down) for i in range(d) for j in range(d))
+        centre = scale * (centre + sum(at(i, i, back[i]) + at(i, i, far[i]) for i in range(d)))
+        stencil = {zero: centre}
+        for j in range(d):
+            stencil[unit[j]] = -scale * sum(at(i, j, zero) + at(i, j, far[j]) for i in range(d))
+            for i in range(j):
+                off = tuple(a - b for a, b in zip(unit[i], unit[j]))
+                stencil[off] = scale * (at(i, j, back[j]) + at(i, j, far[i]))
+        for off, w in list(stencil.items()):
+            if off == zero:
+                continue
+            # no coupling leaves the lattice; the matrix is symmetric
+            for ax, o in enumerate(off):
+                if o:
+                    w[(slice(None),) * ax + (-1 if o > 0 else 0,)] = 0.0
+            stencil[tuple(-o for o in off)] = _shift(w, tuple(-o for o in off))
+        size = self.grid.n_nodes
+        strides = [n ** (d - 1 - ax) for ax in range(d)]
+        steps = {off: int(np.dot(off, strides)) for off in stencil}  # column minus row
+        offsets = sorted(stencil, key=steps.get)  # so every row lists its columns in order
+        # the entries, one row per node; each weight array is released once copied
+        vals = np.empty((len(offsets), size))
+        for k, off in enumerate(offsets):
+            vals[k] = stencil.pop(off).ravel()
+        keep = vals.T != 0.0
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        data = vals.T[keep]
+        del vals
+        cols = np.arange(size, dtype=np.int32)[:, None] + np.array([steps[o] for o in offsets], np.int32)
+        mat = sparse.csr_matrix((data, cols[keep], indptr), shape=(size, size))
+        mat.has_sorted_indices = True
         return mat
 
-    def diagonal(self) -> np.ndarray:
-        """Exact diagonal of the operator matrix (for Jacobi preconditioning)."""
-        d, h = self.dim, self.spacing
-        sum_all = np.zeros_like(self._abar[0])
-        for i in range(d):
-            for j in range(d):
-                sum_all += self._abar_comp(i, j)
-        shape = tuple(s + 1 for s in self._abar[0].shape)
-        diag = np.zeros(shape)
-        base = tuple(slice(0, -1) for _ in range(d))
-        far = tuple(slice(1, None) for _ in range(d))
-        diag[base] += sum_all
-        diag[far] += sum_all
-        for i in range(d):
-            aii = self._abar_comp(i, i)
-            sl_p = list(base)
-            sl_p[i] = slice(1, None)
-            diag[tuple(sl_p)] += aii
-            sl_m = list(far)
-            sl_m[i] = slice(0, -1)
-            diag[tuple(sl_m)] += aii
-        diag *= -0.5 / h**2
-        if self.bc == "dirichlet":
-            core = tuple(slice(1, -1) for _ in range(d))
-            diag = diag[core]
-        return diag
 
-
-def divergence_form_collision(
-    f: np.ndarray,
-    diffusion: DiffusionOperator,
-    drift: list[np.ndarray],
-) -> np.ndarray:
-    """div(A grad f - f b): symmetric diffusion plus conservative drift fluxes."""
-    return diffusion.apply(f) - drift_divergence(f, drift, diffusion.spacing)
+def _shift(values: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
+    """out[p] = values[p + off], zero where p + off leaves the array."""
+    out = np.zeros_like(values)
+    dst = tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(off, values.shape))
+    src = tuple(slice(max(o, 0), s - max(-o, 0)) for o, s in zip(off, values.shape))
+    out[dst] = values[src]
+    return out
 
 
 def energy_form(A: MatrixField, phi: np.ndarray) -> float:

@@ -101,9 +101,12 @@ def _top_eigenvalue(
     try:
         vals, vecs = eigsh(op, k=1, which="LA", tol=tol, maxiter=maxiter, v0=v0)
     except ArpackNoConvergence as exc:
-        res = float("nan")
-        if exc.eigenvectors is not None and exc.eigenvectors.size:
-            res = residual(float(exc.eigenvalues[-1]), exc.eigenvectors[:, -1])
+        if exc.eigenvectors is None or not exc.eigenvectors.size:
+            raise IterationError(
+                f"eigenvalue iteration did not converge: no Ritz pair converged within {maxiter} restarts",
+                residual=float("nan"),
+            ) from exc
+        res = residual(float(exc.eigenvalues[-1]), exc.eigenvectors[:, -1])
         raise IterationError(
             f"eigenvalue iteration did not converge within {maxiter} restarts "
             f"(last Ritz residual {res:.3g})",

@@ -67,6 +67,7 @@ def atomic_write_text(path, text: str):
 
 
 def atomic_write_bytes(path, blob: bytes):
+    """Binary counterpart of :func:`atomic_write_text`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:

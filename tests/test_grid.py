@@ -219,6 +219,23 @@ def test_snapshot_roundtrip(tmp_path, grid16, rng):
     assert np.array_equal(g.values, f.values)
 
 
+def test_snapshot_write_is_atomic(tmp_path, grid16, monkeypatch):
+    from landau_lab import report
+
+    path = tmp_path / "f.llf"
+    write_field(path, maxwellian(grid16))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(report.os, "replace", fail)
+    with pytest.raises(OSError):
+        write_field(path, ScalarField(grid16, np.zeros(grid16.shape)))
+    assert path.read_bytes() == before  # the old snapshot survives whole
+    assert [p.name for p in tmp_path.iterdir()] == ["f.llf"]  # and no temporary is left
+
+
 def test_snapshot_format_errors(tmp_path, grid16):
     f = ScalarField(grid16, np.zeros(grid16.shape))
     path = tmp_path / "f.llf"

@@ -74,6 +74,7 @@ def test_lambda_iteration_cap(bundle12, monkeypatch):
     with pytest.raises(IterationError) as info:
         lambda_f(bundle12, epsilon=0.3, maxiter=1, tol=1e-14)
     assert np.isnan(info.value.residual)  # ARPACK returned no Ritz pair
+    assert "no Ritz pair converged within 1 restarts" in str(info.value)
     # a capped run that does return a Ritz pair reports that pair's residual
     from scipy.sparse.linalg import ArpackNoConvergence
 

@@ -286,26 +286,61 @@ def test_krieger_strain_radial_monotonicity(grid24):
     assert np.all(np.diff(ray) <= 1e-12 * np.max(ray))
 
 
-def test_imex_solve_failure_reports_residual(monkeypatch, rng):
+def _imex_setup(rng):
     from landau_lab import solver
-    from landau_lab.errors import IterationError
 
     g = make_grid(3, 4.0, 8)
     M = maxwellian(g)
     split = solver.make_split_operator(build_coefficients(M, 0.0), reference_gaussian(M))
     rhs = M.values * rng.uniform(0.5, 1.5, size=g.shape)
-    real_cg = solver.cg
-    returned = {}
+    return split, rhs
 
-    def capped_cg(A, b, **kwargs):
-        x, info = real_cg(A, b, **{**kwargs, "maxiter": 2})
-        returned["x"] = x.reshape(g.shape)
-        return x, info
 
-    monkeypatch.setattr(solver, "cg", capped_cg)
+def test_imex_solve_failure_reports_residual(rng):
+    from landau_lab import solver
+    from landau_lab.errors import IterationError
+
+    split, rhs = _imex_setup(rng)
     with pytest.raises(IterationError) as info:
-        solver._imex_solve(split, 0.1, rhs)
-    x = returned["x"]
+        solver._imex_solve(split, 0.1, rhs, maxiter=2)
+    x = info.value.iterate
     resid = np.linalg.norm(rhs - (split.mref.values * x - 0.1 * split.diffusion.apply(x))) / np.linalg.norm(rhs)
     assert info.value.residual == pytest.approx(resid, rel=1e-12)
     assert f"relative residual {resid:.3g}" in str(info.value)
+    assert "after 2 iterations" in str(info.value)
+
+
+def test_imex_solve_matches_dense_solve(rng):
+    from landau_lab import solver
+
+    split, rhs = _imex_setup(rng)
+    shape, dt = rhs.shape, 0.1
+    L = split.diffusion
+    columns = [L.apply(e.reshape(shape)).ravel() for e in np.eye(rhs.size)]
+    system = np.diag(split.mref.values.ravel()) - dt * np.stack(columns, axis=1)
+    u = np.linalg.solve(system, rhs.ravel())
+    f, iterations, residual = solver._imex_solve(split, dt, rhs)
+    ref = split.mref.values * u.reshape(shape)
+    assert np.linalg.norm(f - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert 0 < iterations < 4000
+    assert residual <= 1e-10
+    x = f / split.mref.values
+    true = np.linalg.norm(rhs.ravel() - system @ x.ravel()) / np.linalg.norm(rhs)
+    assert true == pytest.approx(residual, rel=1e-3, abs=1e-14)
+
+
+def test_conservation_error_reports_clipping(grid16):
+    from landau_lab.solver import ConservationError
+
+    f0 = squeezed_gaussian(grid16, 0.35, 0.5)
+    run = dict(gamma=0.0, t_final=0.3, dt_max=0.1, t_ramp=0.3)
+    rows = simulate(f0, **run).ledger
+    drift = [abs(r.mass - rows[0].mass) / rows[0].mass for r in rows]
+    k = int(np.argmax(drift))  # the run aborts at its largest drift
+    with pytest.raises(ConservationError) as info:
+        simulate(f0, **run, mass_drift_tol=drift[k] * (1.0 - 1e-6))
+    exc = info.value
+    assert exc.clipped_mass == sum(r.clipped_mass for r in rows[: k + 1])
+    assert exc.negative_nodes == max(r.negative_nodes for r in rows[: k + 1]) > 0
+    assert f"clipping added {exc.clipped_mass:.3g} of mass" in str(exc)
+    assert f"at most {exc.negative_nodes} negative nodes" in str(exc)
