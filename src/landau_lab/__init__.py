@@ -8,13 +8,9 @@ equilibrium-compatible time stepper, and regularization-rate measurements.
 from .coefficients import (
     CoefficientBundle,
     MatrixField,
-    A_field,
     a_field,
-    a_star_e_field,
     a_star_field,
     build_coefficients,
-    drift_field,
-    grad_a_field,
     h_field,
     kernel_constants,
 )
@@ -42,7 +38,6 @@ from .solver import (
     Trajectory,
     TruncationFn,
     collision_operator,
-    conserved_moments,
     entropy,
     entropy_production,
     simulate,
@@ -53,7 +48,6 @@ from .weights import WeightReport, a1_constant, ap_constant, doubling_constant, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_field",
     "Ball",
     "CoefficientBundle",
     "Cube",
@@ -69,21 +63,17 @@ __all__ = [
     "WeightReport",
     "a1_constant",
     "a_field",
-    "a_star_e_field",
     "a_star_field",
     "ap_constant",
     "build_coefficients",
     "collision_operator",
-    "conserved_moments",
     "counterexample_profile",
     "cube_average",
     "doubling_constant",
-    "drift_field",
     "entropy",
     "entropy_production",
     "fit_decay",
     "gks_check",
-    "grad_a_field",
     "h_field",
     "integrate",
     "kernel_constants",

@@ -11,6 +11,7 @@ records the gates' wall-clock seconds next to the reproducible
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -151,32 +152,9 @@ def load_trajectory(run_dir) -> Trajectory:
     for entry in manifest["snapshots"]:
         snaps.append(read_field(os.path.join(run_dir, entry["file"])))
         times.append(float(entry["time"]))
-    ledger = []
-    import csv as _csv
-
-    with open(os.path.join(run_dir, "ledger.csv")) as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
+    with open(os.path.join(run_dir, "ledger.csv"), newline="") as fh:
         dim = snaps[0].grid.dim
-        for row in reader:
-            vals = dict(zip(header, row))
-            ledger.append(
-                LedgerRow(
-                    step=int(vals["step"]),
-                    time=float(vals["time"]),
-                    dt=float(vals["dt"]),
-                    mass=float(vals["mass"]),
-                    momentum=[float(vals[f"momentum_{i}"]) for i in range(dim)],
-                    energy=float(vals["energy"]),
-                    entropy=float(vals["entropy"]),
-                    entropy_production=float(vals["entropy_production"]),
-                    entropy_production_collision=float(vals["entropy_production_collision"]),
-                    boundary_flux_leak=float(vals["boundary_flux_leak"]),
-                    clipped_mass=float(vals["clipped_mass"]),
-                    negative_nodes=int(vals["negative_nodes"]),
-                    h_max=float(vals["h_max"]),
-                )
-            )
+        ledger = [LedgerRow.from_csv(record, dim) for record in csv.DictReader(fh)]
     return Trajectory(
         float(manifest["gamma"]), snaps[0].grid, times, snaps, ledger, manifest.get("scheme", "imex")
     )

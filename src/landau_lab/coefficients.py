@@ -82,9 +82,9 @@ def kernel_constants(dim: int, gamma: float) -> dict[str, float]:
     Returns C_A (matrix kernel), c_a (trace kernel), c_h (reaction kernel),
     c_drift and c_grad_a (vector kernels z|z|^gamma).
     """
+    if dim != 3:
+        raise GridError(f"the coefficient engine is implemented for d = 3, got d = {dim}")
     g = _check_gamma(dim, gamma)
-    if dim < 2:
-        raise GridError("coefficient fields require dimension >= 2")
     if g == -dim:
         C_A = 1.0 / ((dim - 1) * sphere_area(dim))
         c_h = 1.0  # h is f itself
@@ -109,41 +109,30 @@ def kernel_constants(dim: int, gamma: float) -> dict[str, float]:
 # singular-cell averages
 # ---------------------------------------------------------------------------
 
-_cell_avg_cache: dict[tuple[int, float], float] = {}
+_cell_avg_cache: dict[float, float] = {}
 
 
-def unit_cell_power_average(dim: int, p: float) -> float:
+def unit_cell_power_average(p: float) -> float:
     """
-    Average of |u|^p over the unit cell [-1/2, 1/2]^d (exact face reduction:
-    the cell integral equals d/(p+d) times the integral of (|x|^2 + 1/4)^(p/2)
-    over a face), requiring p + d > 0.
+    Average of |u|^p over the unit cell [-1/2, 1/2]^3 (exact face reduction:
+    the cell integral equals 3/(p+3) times the integral of (|x|^2 + 1/4)^(p/2)
+    over a face), requiring p + 3 > 0.
     """
-    key = (dim, round(float(p), 12))
+    key = round(float(p), 12)
     if key in _cell_avg_cache:
         return _cell_avg_cache[key]
-    if p + dim <= 0:
-        raise ValueError(f"|u|^{p} is not integrable over the cell in d={dim}")
+    if p + 3 <= 0:
+        raise ValueError(f"|u|^{p} is not integrable over the cell in d=3")
     if p == 0:
         val = 1.0
-    elif dim == 1:
-        val = (0.5**p) / (p + 1.0)
     else:
         nodes, wts = np.polynomial.legendre.leggauss(64)
         x = 0.5 * nodes  # map to [-1/2, 1/2]
         w = 0.5 * wts
-        if dim == 2:
-            face = float(np.sum(w * (x**2 + 0.25) ** (p / 2.0)))
-        elif dim == 3:
-            xx, yy = np.meshgrid(x, x, indexing="ij")
-            ww = np.outer(w, w)
-            face = float(np.sum(ww * (xx**2 + yy**2 + 0.25) ** (p / 2.0)))
-        else:
-            # equal-volume ball surrogate for d > 3
-            rho = (dim / sphere_area(dim)) ** (1.0 / dim)
-            val = (dim / (p + dim)) * rho**p
-            _cell_avg_cache[key] = val
-            return val
-        val = dim / (p + dim) * face
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        ww = np.outer(w, w)
+        face = float(np.sum(ww * (xx**2 + yy**2 + 0.25) ** (p / 2.0)))
+        val = 3 / (p + 3) * face
     _cell_avg_cache[key] = val
     return val
 
@@ -152,13 +141,14 @@ def unit_cell_power_average(dim: int, p: float) -> float:
 # kernel tables on the offset lattice
 # ---------------------------------------------------------------------------
 
-_COMPONENT_PAIRS = {2: [(0, 0), (0, 1), (1, 1)], 3: [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]}
+_COMPONENT_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
 def matrix_component_pairs(dim: int) -> list[tuple[int, int]]:
-    if dim in _COMPONENT_PAIRS:
-        return _COMPONENT_PAIRS[dim]
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
+    """Upper-triangle index pairs of a symmetric d x d matrix; matrix fields are d = 3 only."""
+    if dim != 3:
+        raise GridError(f"matrix fields are implemented for d = 3, got d = {dim}")
+    return _COMPONENT_PAIRS
 
 
 def _offset_coords(grid: VelocityGrid) -> tuple[np.ndarray, ...]:
@@ -172,97 +162,57 @@ def _offset_coords(grid: VelocityGrid) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _kernel_table(grid: VelocityGrid, gamma: float, kind: str) -> np.ndarray:
-    """
-    Sampled kernel on offsets (2N-1)^d.  ``kind`` is one of
-    'h' (|z|^gamma), 'a' (|z|^(2+gamma)), 'Aij' (projection matrix component),
-    'Di' (vector component z_i |z|^gamma).  The offset-zero entry carries the
-    analytic cell average (zero for odd kernels, parity-reduced for 'Aij').
-    """
-    d, h = grid.dim, grid.spacing
-    zc = _offset_coords(grid)
-    r2 = sum(c**2 for c in zc)
-    center = tuple(grid.points_per_axis - 1 for _ in range(d))
-    r2s = np.array(r2)
-    r2s[center] = 1.0  # placeholder, overwritten below
-
-    smooth = gamma == 0.0  # polynomial kernels: midpoint value is the consistent choice
-    if kind == "h":
-        k = r2s ** (gamma / 2.0)
-        k[center] = 1.0 if smooth else h**gamma * unit_cell_power_average(d, gamma)
-    elif kind == "a":
-        k = r2s ** ((2.0 + gamma) / 2.0)
-        k[center] = 0.0 if smooth else h ** (2.0 + gamma) * unit_cell_power_average(d, 2.0 + gamma)
-    elif kind.startswith("A"):
-        i, j = int(kind[1]), int(kind[2])
-        rg = r2s ** (gamma / 2.0)
-        if i == j:
-            k = rg * (r2s - zc[i] ** 2 * np.ones_like(r2s))
-            # cell average of |z|^(2+g) Pi_ii: odd cross moments vanish and
-            # z_i^2 averages to |z|^2 / d
-            k[center] = (
-                0.0
-                if smooth
-                else (1.0 - 1.0 / d) * h ** (2.0 + gamma) * unit_cell_power_average(d, 2.0 + gamma)
-            )
-        else:
-            k = -rg * (zc[i] * zc[j] * np.ones_like(r2s))
-            k[center] = 0.0
-    elif kind.startswith("D"):
-        i = int(kind[1])
-        k = r2s ** (gamma / 2.0) * (zc[i] * np.ones_like(r2s))
-        k[center] = 0.0
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return k
-
-
 def kernel_point_values(
-    grid_dim: int,
     spacing: float,
     gamma: float,
     kind: str,
-    z: np.ndarray,
-    r2: np.ndarray | None = None,
+    coords: tuple[np.ndarray, ...],
+    r2: np.ndarray,
 ) -> np.ndarray:
     """
-    Kernel values at arbitrary offset vectors ``z`` (shape (..., d)), with the
-    same central-cell convention as the sampled tables.  Used by the direct
-    summation oracle.  ``r2`` may carry precomputed squared radii.
+    The kernel ``kind`` at offset vectors with components ``coords`` (d arrays
+    broadcasting against ``r2``, the squared offset lengths).  ``kind`` is one
+    of 'h' (|z|^gamma), 'a' (|z|^(2+gamma)), 'Aij' (projection matrix
+    component) or 'Di' (vector component z_i |z|^gamma).  The offset-zero
+    entry carries the analytic cell average (zero for odd kernels,
+    parity-reduced for 'Aij').  Sampled on the offset lattice this is the FFT
+    kernel table; at node differences it is the direct-summation oracle.
     """
-    if r2 is None:
-        r2 = np.sum(z**2, axis=-1)
+    d = len(coords)
     zero = r2 == 0.0
     r2s = np.where(zero, 1.0, r2)
-    smooth = gamma == 0.0
+    smooth = gamma == 0.0  # polynomial kernels: midpoint value is the consistent choice
     if kind == "h":
         out = r2s ** (gamma / 2.0)
-        fill = 1.0 if smooth else spacing**gamma * unit_cell_power_average(grid_dim, gamma)
+        fill = 1.0 if smooth else spacing**gamma * unit_cell_power_average(gamma)
     elif kind == "a":
         out = r2s ** ((2.0 + gamma) / 2.0)
-        fill = 0.0 if smooth else spacing ** (2.0 + gamma) * unit_cell_power_average(grid_dim, 2.0 + gamma)
+        fill = 0.0 if smooth else spacing ** (2.0 + gamma) * unit_cell_power_average(2.0 + gamma)
     elif kind.startswith("A"):
         i, j = int(kind[1]), int(kind[2])
         rg = r2s ** (gamma / 2.0)
         if i == j:
-            out = rg * (r2s - z[..., i] ** 2)
+            out = rg * (r2s - coords[i] ** 2)
+            # cell average of |z|^(2+g) Pi_ii: odd cross moments vanish and
+            # z_i^2 averages to |z|^2 / d
             fill = (
                 0.0
                 if smooth
-                else (1.0 - 1.0 / grid_dim)
+                else (1.0 - 1.0 / d)
                 * spacing ** (2.0 + gamma)
-                * unit_cell_power_average(grid_dim, 2.0 + gamma)
+                * unit_cell_power_average(2.0 + gamma)
             )
         else:
-            out = -rg * z[..., i] * z[..., j]
+            out = -rg * (coords[i] * coords[j])
             fill = 0.0
     elif kind.startswith("D"):
         i = int(kind[1])
-        out = r2s ** (gamma / 2.0) * z[..., i]
+        out = r2s ** (gamma / 2.0) * coords[i]
         fill = 0.0
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    return np.where(zero, fill, out)
+    out[zero] = fill  # out is a fresh array in every branch
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +230,10 @@ class _ConvPlan:
 
     def kernel_fft(self, kind: str) -> np.ndarray:
         if kind not in self.kernel_ffts:
-            table = _kernel_table(self.grid, self.gamma, kind)
+            coords = _offset_coords(self.grid)
+            r2 = sum(c**2 for c in coords)
+            table = kernel_point_values(self.grid.spacing, self.gamma, kind, coords, r2)
+            del r2  # one table-sized array fewer while the padded transform runs
             buf = np.zeros(self.pad)
             buf[tuple(slice(0, s) for s in table.shape)] = table
             self.kernel_ffts[kind] = sfft.rfftn(buf, workers=_DEF_WORKERS)
@@ -342,15 +295,11 @@ def direct_convolve_many(
         tgt = pts[start : start + chunk]
         z = tgt[:, None, :] - pts[None, :, :]
         r2 = np.einsum("abi,abi->ab", z, z)
+        coords = tuple(z[..., i] for i in range(grid.dim))
         for k_idx, kind in enumerate(kinds):
-            k = kernel_point_values(grid.dim, grid.spacing, gamma, kind, z, r2=r2)
+            k = kernel_point_values(grid.spacing, gamma, kind, coords, r2)
             outs[k_idx][start : start + chunk] = k @ fv
     return [w * o.reshape(grid.shape) for o in outs]
-
-
-def direct_convolve(f: ScalarField, gamma: float, kind: str, chunk: int = 512) -> np.ndarray:
-    """Single-kernel wrapper around :func:`direct_convolve_many`."""
-    return direct_convolve_many(f, gamma, [kind], chunk=chunk)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +381,13 @@ def _eig3_sym_minmax(A: MatrixField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalue_range(A: MatrixField) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) per node; closed form for d = 3, LAPACK otherwise."""
+    """(lambda_min, lambda_max) per node, in closed form."""
     if not np.all(np.isfinite(A.comps)):
         bad = np.argwhere(~np.isfinite(A.comps))[0]
         raise EigenSolveError(
             f"non-finite matrix entry at node {tuple(bad[1:])}", node=tuple(bad[1:])
         )
-    if A.grid.dim == 3:
-        return _eig3_sym_minmax(A)
-    if A.grid.dim == 1:
-        return A.comps[0], A.comps[0]
-    w = np.linalg.eigvalsh(A.as_dense())
-    return w[..., 0], w[..., -1]
+    return _eig3_sym_minmax(A)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -464,9 +408,9 @@ def h_field(f: ScalarField, gamma: float) -> ScalarField:
     """Reaction coefficient: f itself at gamma = -d, else c_h * (f conv |z|^gamma)."""
     g = _check_gamma(f.grid.dim, gamma)
     f.require_density("h_field input")
+    consts = kernel_constants(f.grid.dim, g)
     if g == -f.grid.dim:
         return f.copy()
-    consts = kernel_constants(f.grid.dim, g)
     (conv,) = fft_convolve(f, g, ["h"])
     return ScalarField(f.grid, consts["c_h"] * conv)
 
@@ -478,45 +422,6 @@ def a_field(f: ScalarField, gamma: float) -> ScalarField:
     consts = kernel_constants(f.grid.dim, g)
     (conv,) = fft_convolve(f, g, ["a"])
     return ScalarField(f.grid, consts["c_a"] * conv)
-
-
-def A_field(f: ScalarField, gamma: float) -> MatrixField:
-    """Diffusion matrix: componentwise convolutions with C_A |z|^(2+gamma) Pi(z)."""
-    g = _check_gamma(f.grid.dim, gamma)
-    f.require_density("A_field input")
-    consts = kernel_constants(f.grid.dim, g)
-    pairs = matrix_component_pairs(f.grid.dim)
-    kinds = [f"A{i}{j}" for i, j in pairs]
-    convs = fft_convolve(f, g, kinds)
-    comps = np.stack([consts["C_A"] * c for c in convs])
-    return MatrixField(f.grid, comps)
-
-
-def grad_a_field(f: ScalarField, gamma: float) -> list[ScalarField]:
-    """Analytic gradient of the trace coefficient (kernel (2+gamma) c_a z |z|^gamma)."""
-    g = _check_gamma(f.grid.dim, gamma)
-    f.require_density("grad_a_field input")
-    consts = kernel_constants(f.grid.dim, g)
-    kinds = [f"D{i}" for i in range(f.grid.dim)]
-    convs = fft_convolve(f, g, kinds)
-    return [ScalarField(f.grid, consts["c_grad_a"] * c) for c in convs]
-
-
-def drift_field(f: ScalarField, gamma: float) -> list[ScalarField]:
-    """Drift vector div A (kernel -c_a z |z|^gamma); the flux is A grad f - f b."""
-    g = _check_gamma(f.grid.dim, gamma)
-    f.require_density("drift_field input")
-    consts = kernel_constants(f.grid.dim, g)
-    kinds = [f"D{i}" for i in range(f.grid.dim)]
-    convs = fft_convolve(f, g, kinds)
-    return [ScalarField(f.grid, consts["c_drift"] * c) for c in convs]
-
-
-def a_star_e_field(A: MatrixField, e: np.ndarray) -> ScalarField:
-    """Quadratic form (A e, e) along a fixed unit direction."""
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    return ScalarField(A.grid, A.quadratic_form(e))
 
 
 def a_star_field(A: MatrixField) -> ScalarField:
@@ -548,8 +453,6 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     """Compute h, a, A, a*, grad a and the drift for one density."""
     g = _check_gamma(f.grid.dim, gamma)
     f.require_density("density")
-    if f.grid.dim < 2:
-        raise GridError("coefficient fields require dimension >= 2")
     consts = kernel_constants(f.grid.dim, g)
     pairs = matrix_component_pairs(f.grid.dim)
     kinds = [f"A{i}{j}" for i, j in pairs] + [f"D{i}" for i in range(f.grid.dim)]

@@ -15,7 +15,6 @@ for compact support.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,13 +38,6 @@ class LambdaCurve:
     iterations: list[int]
     residuals: list[float]
     weight: str = "none"
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epsilon", "lambda", "iterations", "residual"])
-            for row in zip(self.epsilons, self.lambdas, self.iterations, self.residuals):
-                writer.writerow([repr(float(x)) for x in row])
 
     def manifest(self) -> dict:
         return {

@@ -1,7 +1,6 @@
 """
-Named diagnostic results with provenance, plus deterministic serialization
-helpers (atomic writes, stable float formatting) so identical runs produce
-byte-identical output files.
+Deterministic serialization helpers (atomic writes, stable float
+formatting) so identical runs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -11,31 +10,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
-
-
-@dataclass
-class DiagnosticsReport:
-    """Scalar and curve results of one diagnostic, tagged with provenance."""
-
-    name: str
-    provenance: dict = field(default_factory=dict)  # e.g. {"claim": ..., "tolerance": ...}
-    scalars: dict = field(default_factory=dict)
-    curves: dict = field(default_factory=dict)  # name -> list of rows or values
-    notes: list = field(default_factory=list)
-    passed: bool | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "provenance": self.provenance,
-            "scalars": self.scalars,
-            "curves": self.curves,
-            "notes": self.notes,
-        }
-        if self.passed is not None:
-            out["passed"] = self.passed
-        return out
 
 
 def _default(obj):
@@ -52,32 +26,30 @@ def _default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def atomic_write_text(path, text: str):
-    """Write via a temporary file and rename, so readers never see partial files."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_bytes(path, blob: bytes):
-    """Binary counterpart of :func:`atomic_write_text`."""
+    """
+    Write via a temporary file and rename, so readers never see partial
+    files.  The file gets the mode open() would give it, 0o666 less the
+    umask; mkstemp alone would leave it 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+            umask = os.umask(0)  # the only way to read the umask is to set it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str):
+    """Text counterpart of :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode())
 
 
 def write_json(path, payload):

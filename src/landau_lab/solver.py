@@ -15,8 +15,9 @@ silently renormalized.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -188,6 +189,12 @@ class TruncationFn:
 
 @dataclass
 class LedgerRow:
+    """
+    One ledger line.  Its CSV columns follow the field order; a per-axis
+    field (``list[float]``, the momentum) takes one column per axis,
+    suffixed _0 .. _{d-1}.
+    """
+
     step: int
     time: float
     dt: float
@@ -203,37 +210,45 @@ class LedgerRow:
     h_max: float
 
     def as_list(self) -> list:
-        return (
-            [self.step, self.time, self.dt, self.mass]
-            + list(self.momentum)
-            + [
-                self.energy,
-                self.entropy,
-                self.entropy_production,
-                self.entropy_production_collision,
-                self.boundary_flux_leak,
-                self.clipped_mass,
-                self.negative_nodes,
-                self.h_max,
-            ]
-        )
+        out = []
+        for fld in dataclasses.fields(self):
+            value = getattr(self, fld.name)
+            if fld.type == "list[float]":
+                out.extend(value)
+            else:
+                out.append(value)
+        return out
 
-    @staticmethod
-    def header(dim: int) -> list[str]:
-        return (
-            ["step", "time", "dt", "mass"]
-            + [f"momentum_{i}" for i in range(dim)]
-            + [
-                "energy",
-                "entropy",
-                "entropy_production",
-                "entropy_production_collision",
-                "boundary_flux_leak",
-                "clipped_mass",
-                "negative_nodes",
-                "h_max",
-            ]
-        )
+    @classmethod
+    def header(cls, dim: int) -> list[str]:
+        out = []
+        for fld in dataclasses.fields(cls):
+            if fld.type == "list[float]":
+                out.extend(f"{fld.name}_{i}" for i in range(dim))
+            else:
+                out.append(fld.name)
+        return out
+
+    @classmethod
+    def from_csv(cls, record: dict[str, str], dim: int) -> "LedgerRow":
+        """Inverse of ``as_list`` for one ``csv.DictReader`` record of a ``header(dim)`` file."""
+        values = {}
+        for fld in dataclasses.fields(cls):
+            if fld.type == "list[float]":
+                values[fld.name] = [float(record[f"{fld.name}_{i}"]) for i in range(dim)]
+            else:
+                values[fld.name] = (int if fld.type == "int" else float)(record[fld.name])
+        return cls(**values)
+
+
+@dataclass
+class StepStats:
+    """What a step did besides advancing f: its size, the drift flux out of the box, and the clipping."""
+
+    dt: float
+    leak: float
+    clipped_mass: float
+    negative_nodes: int
 
 
 @dataclass
@@ -242,7 +257,6 @@ class SolverState:
     time: float
     gamma: float
     step_index: int
-    ledger: list[LedgerRow] = field(default_factory=list)
 
 
 @dataclass
@@ -270,11 +284,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # collision operator and stepping
 # ---------------------------------------------------------------------------
-
-
-def conserved_moments(f: ScalarField) -> tuple[float, np.ndarray, float]:
-    """(mass, momentum, energy) by midpoint quadrature."""
-    return moments(f)
 
 
 def entropy(f: ScalarField) -> float:
@@ -399,20 +408,14 @@ def collision_operator(
 
 
 def _ledger_row(
-    state: SolverState,
-    dt: float,
-    bundle: CoefficientBundle,
-    split: "SplitOperator",
-    leak: float,
-    clipped: float,
-    nneg: int,
+    state: SolverState, stats: StepStats, bundle: CoefficientBundle, split: "SplitOperator"
 ) -> LedgerRow:
-    """Row describing ``state`` with coefficients built from the state itself."""
+    """Row describing ``state`` and the step into it, with coefficients built from ``state``."""
     mass, mom, ener = moments(state.f)
     return LedgerRow(
         step=state.step_index,
         time=state.time,
-        dt=dt,
+        dt=stats.dt,
         mass=mass,
         momentum=[float(x) for x in mom],
         energy=ener,
@@ -421,9 +424,9 @@ def _ledger_row(
         entropy_production_collision=entropy_production(
             state.f, state.gamma, bundle, method="collision", split=split
         ),
-        boundary_flux_leak=leak,
-        clipped_mass=clipped,
-        negative_nodes=nneg,
+        boundary_flux_leak=stats.leak,
+        clipped_mass=stats.clipped_mass,
+        negative_nodes=stats.negative_nodes,
         h_max=float(np.max(bundle.h.values)),
     )
 
@@ -484,25 +487,23 @@ def step(
     split: SplitOperator | None = None,
     explicit_guard: float = 0.5,
     cg_tol: float = 1e-10,
-    append_ledger: bool = True,
-) -> SolverState:
+) -> tuple[SolverState, StepStats]:
     """
     Advance one step: implicit diffusion with frozen coefficients and explicit
     drift (imex), or forward Euler with a stability guard (explicit).
-    Negative nodes are clipped and logged, never renormalized.
+    Negative nodes are clipped and counted in the returned stats, never
+    renormalized.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
+    if dt == 0.0:
+        same = SolverState(state.f.copy(), state.time, state.gamma, state.step_index + 1)
+        return same, StepStats(0.0, 0.0, 0.0, 0)
     if bundle is None:
         bundle = build_coefficients(state.f, state.gamma)
     if split is None:
         split = make_split_operator(bundle, reference_gaussian(state.f))
     f = state.f.values
-    if dt == 0.0:
-        new = SolverState(state.f.copy(), state.time, state.gamma, state.step_index + 1, state.ledger)
-        if append_ledger:
-            new.ledger.append(_ledger_row(new, 0.0, bundle, split, 0.0, 0.0, 0))
-        return new
     spacing = state.f.grid.spacing
     leak = boundary_drift_flux(f, split.drift_rest, spacing) * dt
     if scheme == "imex":
@@ -519,23 +520,14 @@ def step(
         raise ValueError(f"unknown scheme {scheme!r}")
     neg = fnew < 0
     nneg = int(np.count_nonzero(neg))
-    clipped = -float(np.sum(fnew[neg])) * state.f.grid.spacing**state.f.grid.dim
+    # summing the negated values keeps an unclipped step at +0.0, not -0.0
+    clipped = float(np.sum(-fnew[neg])) * state.f.grid.spacing**state.f.grid.dim
     if nneg:
         fnew = np.where(neg, 0.0, fnew)
     new = SolverState(
-        ScalarField(state.f.grid, fnew),
-        state.time + dt,
-        state.gamma,
-        state.step_index + 1,
-        state.ledger,
+        ScalarField(state.f.grid, fnew), state.time + dt, state.gamma, state.step_index + 1
     )
-    if append_ledger:
-        post_bundle = build_coefficients(new.f, new.gamma)
-        post_split = make_split_operator(post_bundle, split.mref)
-        new.ledger.append(_ledger_row(new, dt, post_bundle, post_split, leak, clipped, nneg))
-    else:
-        new._step_stats = (dt, leak, clipped, nneg)  # consumed by simulate()
-    return new
+    return new, StepStats(dt, leak, clipped, nneg)
 
 
 def auto_dt(
@@ -592,14 +584,15 @@ def simulate(
     snaps = [f0.copy()]
     mass0, _, _ = moments(f0)
     mref = reference_gaussian(f0)  # moments are conserved, so one reference serves the run
-    pending = (0.0, 0.0, 0.0, 0)  # (dt, leak, clipped, negatives) of the step into this state
+    stats = StepStats(0.0, 0.0, 0.0, 0)  # the step into the current state
+    ledger: list[LedgerRow] = []
     clipped_total, negatives_max = 0.0, 0
     k = 0
     while True:
         bundle = build_coefficients(state.f, gamma)
         split = make_split_operator(bundle, mref)
-        row = _ledger_row(state, pending[0], bundle, split, *pending[1:])
-        state.ledger.append(row)
+        row = _ledger_row(state, stats, bundle, split)
+        ledger.append(row)
         clipped_total += row.clipped_mass
         negatives_max = max(negatives_max, row.negative_nodes)
         if abs(row.mass - mass0) > mass_drift_tol * max(mass0, 1e-300):
@@ -618,16 +611,13 @@ def simulate(
             if t_ramp is not None:
                 dt = min(dt, t_ramp * max(state.time, dt / 4.0))
         dt = min(dt, t_final - state.time)
-        state = step(
-            state, dt, scheme=scheme, bundle=bundle, split=split, cg_tol=cg_tol, append_ledger=False
-        )
-        pending = state._step_stats
+        state, stats = step(state, dt, scheme=scheme, bundle=bundle, split=split, cg_tol=cg_tol)
         del bundle, split  # release this step's operator before the next one is built
         k += 1
         if k % snapshot_stride == 0 or state.time >= t_final - 1e-14:
             times.append(state.time)
             snaps.append(state.f.copy())
-    return Trajectory(float(gamma), f0.grid, times, snaps, state.ledger, scheme)
+    return Trajectory(float(gamma), f0.grid, times, snaps, ledger, scheme)
 
 
 # ---------------------------------------------------------------------------

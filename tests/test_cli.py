@@ -8,6 +8,7 @@ from landau_lab import cli
 from landau_lab.errors import ConfigError
 from landau_lab.grid import make_grid, maxwellian, write_field
 from landau_lab.report import sha256_file
+from landau_lab.solver import simulate
 
 
 def minimal_config(**over):
@@ -128,7 +129,9 @@ def test_diagnose_poincare_and_coefficients(tmp_path):
         ["diagnose", str(field_path), "--which", "poincare", "--out", str(out), "--gamma", "-1"]
     )
     assert rc == 0
-    assert (out / "lambda_curve.csv").exists()
+    lines = (out / "lambda_curve.csv").read_text().splitlines()
+    assert lines[0] == "epsilon,lambda,iterations,residual"
+    assert len(lines) == 1 + 8  # the default n_epsilons
     rc = cli.main(
         ["diagnose", str(field_path), "--which", "coefficients", "--out", str(out), "--gamma", "-1"]
     )
@@ -162,7 +165,14 @@ def test_rates_command_on_run(tmp_path):
     assert (tmp_path / "fits" / "history_R2.csv").exists()
 
 
-def test_load_trajectory_roundtrip(tmp_path):
+def test_load_trajectory_roundtrip(tmp_path, monkeypatch):
+    runs = []
+
+    def recording_simulate(*args, **kwargs):
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
     cfg_path = write_config(tmp_path, minimal_config())
     run_dir = tmp_path / "run"
     cli.main(["simulate", "--config", str(cfg_path), "--out", str(run_dir)])
@@ -170,6 +180,19 @@ def test_load_trajectory_roundtrip(tmp_path):
     assert traj.gamma == 0.0
     assert len(traj.times) == len(traj.snapshots)
     assert traj.ledger[0].mass == pytest.approx(1.0, abs=1e-12)
+    (original,) = runs
+    assert len(traj.ledger) == len(original.ledger) > 1
+    for loaded, row in zip(traj.ledger, original.ledger):
+        assert loaded == row
+        # exact, down to the type and the sign of zero
+        assert [repr(v) for v in loaded.as_list()] == [repr(v) for v in row.as_list()]
+
+
+def test_public_names_resolve():
+    import landau_lab
+
+    missing = [name for name in landau_lab.__all__ if not hasattr(landau_lab, name)]
+    assert missing == []
 
 
 def test_profile_kinds(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from landau_lab import coefficients as co
-from landau_lab.errors import GammaRangeError, NonNegativityError
+from landau_lab.errors import GammaRangeError, GridError, NonNegativityError
 from landau_lab.grid import ScalarField, make_grid, maxwellian
 
 ALL_KINDS = ["h", "a", "A00", "A01", "A02", "A11", "A12", "A22", "D0", "D1", "D2"]
@@ -39,15 +39,25 @@ def test_gamma_range_checked(grid16, maxwellian16):
 
 
 def test_cell_average_values():
-    assert co.unit_cell_power_average(3, 2.0) == pytest.approx(0.25, rel=1e-12)
-    assert co.unit_cell_power_average(3, 0.0) == 1.0
+    assert co.unit_cell_power_average(2.0) == pytest.approx(0.25, rel=1e-12)
+    assert co.unit_cell_power_average(0.0) == 1.0
     # independent oracle: face reduction evaluated by adaptive quadrature
     for p in (-1.0, -2.5):
         face, _ = dblquad(
             lambda y, x: (x * x + y * y + 0.25) ** (p / 2.0), -0.5, 0.5, -0.5, 0.5
         )
         expected = 3.0 / (p + 3.0) * face
-        assert co.unit_cell_power_average(3, p) == pytest.approx(expected, rel=1e-9)
+        assert co.unit_cell_power_average(p) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_coefficients_require_three_dimensions(dim):
+    grid = make_grid(dim, 2.0, 4)
+    f = ScalarField(grid, np.ones(grid.shape))
+    with pytest.raises(GridError):
+        co.build_coefficients(f, -1.0)
+    with pytest.raises(GridError):
+        co.h_field(f, -float(dim))  # the identity branch too
 
 
 @pytest.mark.parametrize("gamma", [-1.0, -2.5])
@@ -86,7 +96,7 @@ def test_single_cell_closed_forms():
     gamma = -1.0
     c = co.kernel_constants(3, gamma)
     a = co.a_field(f, gamma)
-    ga = co.grad_a_field(f, gamma)
+    ga = co.build_coefficients(f, gamma).grad_a
     coords = [np.broadcast_to(cc, grid.shape) for cc in grid.coords()]
     dist = np.sqrt(sum((coords[ax] - v0[ax]) ** 2 for ax in range(3)))
     far = dist > 3 * grid.spacing
@@ -106,7 +116,7 @@ def test_projection_annihilates_direction():
     vals = np.zeros(grid.shape)
     vals[8, 8, 8] = 1.0 / grid.spacing**3
     f = ScalarField(grid, vals)
-    A = co.A_field(f, -1.0)
+    A = co.build_coefficients(f, -1.0).A
     v0 = np.array([grid.axis[8]] * 3)
     coords = [np.broadcast_to(cc, grid.shape) for cc in grid.coords()]
     rel = [coords[ax] - v0[ax] for ax in range(3)]
@@ -127,7 +137,7 @@ def test_trace_identity(bundle16_m1, maxwellian16):
 def test_maxwellian_gamma0_isotropic_at_origin(grid16, maxwellian16):
     # no node sits at v = 0; the value there is the symmetrized average over
     # the 8 central nodes, which kills the odd v_i v_j parts exactly
-    A = co.A_field(maxwellian16, 0.0)
+    A = co.build_coefficients(maxwellian16, 0.0).A
     n2 = grid16.points_per_axis // 2
     block = (slice(n2 - 1, n2 + 1),) * 3
     diag = [float(np.mean(A.component(i, i)[block])) for i in range(3)]
@@ -143,10 +153,10 @@ def test_psd_and_linearity(grid16, maxwellian16, rng):
     from landau_lab.grid import random_density
 
     g = random_density(grid16, rng)
-    bundle_f = co.A_field(maxwellian16, -1.0)
-    bundle_g = co.A_field(g, -1.0)
+    bundle_f = co.build_coefficients(maxwellian16, -1.0).A
+    bundle_g = co.build_coefficients(g, -1.0).A
     fg = ScalarField(grid16, maxwellian16.values + g.values)
-    bundle_fg = co.A_field(fg, -1.0)
+    bundle_fg = co.build_coefficients(fg, -1.0).A
     assert np.max(np.abs(bundle_fg.comps - bundle_f.comps - bundle_g.comps)) < 1e-12 * np.max(
         np.abs(bundle_fg.comps)
     )
@@ -180,8 +190,7 @@ def test_a_star_diagonal_matrix():
     comps[5] = 5.0  # A22
     A = co.MatrixField(grid, comps)
     assert np.allclose(co.a_star_field(A).values, 2.0)
-    e2 = co.a_star_e_field(A, np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(e2.values, 5.0)
+    assert np.allclose(A.quadratic_form(np.array([0.0, 0.0, 1.0])), 5.0)
 
 
 def test_a_star_direction_sampling_bound(bundle16_m1):
@@ -232,7 +241,7 @@ def test_grad_a_matches_finite_differences():
         vals = np.exp(-grid.radius_squared() * 2.0)
         f = ScalarField(grid, vals / (np.sum(vals) * grid.spacing**3))
         a = co.a_field(f, -1.0)
-        ga = co.grad_a_field(f, -1.0)[0]
+        ga = co.build_coefficients(f, -1.0).grad_a[0]
         fd = np.gradient(a.values, grid.spacing, axis=0)
         far = grid.radius() > 2.0
         far[0, :, :] = far[-1, :, :] = False  # one-sided boundary rows

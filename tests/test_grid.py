@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -234,6 +236,19 @@ def test_snapshot_write_is_atomic(tmp_path, grid16, monkeypatch):
         write_field(path, ScalarField(grid16, np.zeros(grid16.shape)))
     assert path.read_bytes() == before  # the old snapshot survives whole
     assert [p.name for p in tmp_path.iterdir()] == ["f.llf"]  # and no temporary is left
+
+
+def test_outputs_get_the_umask_mode(tmp_path, grid16):
+    from landau_lab.report import write_json
+
+    old = os.umask(0o022)
+    try:
+        write_field(tmp_path / "f.llf", maxwellian(grid16))
+        write_json(tmp_path / "r.json", {"a": 1})
+    finally:
+        os.umask(old)
+    for name in ("f.llf", "r.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
 
 
 def test_snapshot_format_errors(tmp_path, grid16):
