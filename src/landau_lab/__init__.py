@@ -31,12 +31,11 @@ from .grid import (
     squeezed_gaussian,
     write_field,
 )
-from .poincare import LambdaCurve, gks_check, lambda_curve, lambda_f, verify_eps_poincare
+from .poincare import LambdaCurve, gks_check, lambda_curve, verify_eps_poincare
 from .rates import RateFit, fit_decay, linf_history, moser_report, moser_schedule
 from .solver import (
     SolverState,
     Trajectory,
-    TruncationFn,
     collision_operator,
     entropy,
     entropy_production,
@@ -58,7 +57,6 @@ __all__ = [
     "ScalarField",
     "SolverState",
     "Trajectory",
-    "TruncationFn",
     "VelocityGrid",
     "WeightReport",
     "a1_constant",
@@ -78,7 +76,6 @@ __all__ = [
     "integrate",
     "kernel_constants",
     "lambda_curve",
-    "lambda_f",
     "linf_history",
     "make_dyadic_cubes",
     "make_grid",

@@ -526,78 +526,6 @@ def comparability_report(f: ScalarField, gamma: float, bundle: CoefficientBundle
     return report
 
 
-def kernel_cube_average_oracle(
-    v0: np.ndarray,
-    r: float,
-    e: np.ndarray,
-    gamma: float,
-    m: float,
-    spacing: float = 0.0,
-    implied_factor: float = 4.0,
-) -> dict:
-    """
-    Two-regime closed-form comparability value for the cube average of
-    |z|^((2+gamma) m) (Pi(z) e, e)^m around v0: away from the axis of e the
-    average is comparable to the pointwise kernel, near the axis to
-    max(|v0|, 2r)^(gamma m) r^(2m).  Returns the bracketing interval.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    d = v0.size
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if m < 0 or m * abs(2.0 + gamma) >= d:
-        raise ValueError("need m >= 0 and m|2+gamma| < d")
-    if m == 0:
-        return {
-            "value": 1.0,
-            "lower": 1.0 / implied_factor,
-            "upper": implied_factor,
-            "regime": "constant",
-            "indeterminate": False,
-        }
-    proj = float(np.dot(v0, e))
-    dist = math.sqrt(max(np.dot(v0, v0) - proj**2, 0.0))
-    indeterminate = abs(dist - 2.0 * r) < spacing
-    if dist >= 2.0 * r:
-        vnorm = float(np.linalg.norm(v0))
-        pi_ee = 1.0 - (proj / vnorm) ** 2 if vnorm > 0 else 1.0
-        value = vnorm ** ((2.0 + gamma) * m) * pi_ee**m
-        regime = "off_axis"
-    else:
-        value = max(float(np.linalg.norm(v0)), 2.0 * r) ** (gamma * m) * r ** (2.0 * m)
-        regime = "near_axis"
-    return {
-        "value": value,
-        "lower": value / implied_factor,
-        "upper": value * implied_factor,
-        "regime": regime,
-        "indeterminate": indeterminate,
-    }
-
-
-def kernel_cube_average_numeric(
-    grid: VelocityGrid, v0: np.ndarray, r: float, e: np.ndarray, gamma: float, m: float
-) -> float:
-    """Grid quadrature of the matrix-kernel power over the cube of radius r at v0."""
-    v0 = np.asarray(v0, dtype=float)
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    coords = grid.coords()
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        mask &= np.abs(coords[ax] - v0[ax]) <= r
-    if not mask.any():
-        raise ValueError("cube contains no nodes")
-    z2 = sum(np.broadcast_to(c, grid.shape) ** 2 for c in coords)
-    ze = sum(np.broadcast_to(coords[ax], grid.shape) * e[ax] for ax in range(grid.dim))
-    z2 = np.where(z2 == 0, np.finfo(float).tiny, z2)
-    pi_ee = 1.0 - ze**2 / z2
-    vals = z2 ** ((2.0 + gamma) * m / 2.0) * np.maximum(pi_ee, 0.0) ** m
-    return float(np.mean(vals[mask]))
-
-
 def verify_constant_chain(dim: int, gamma: float, radii=None) -> dict:
     """
     Independent check of the normalization chain: numerically differentiate

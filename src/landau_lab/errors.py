@@ -66,7 +66,3 @@ class ConfigError(LandauLabError, ValueError):
     def __init__(self, problems: list[str]):
         super().__init__("invalid configuration: " + "; ".join(problems))
         self.problems = list(problems)
-
-
-class LedgerTimeError(LandauLabError, ValueError):
-    """Requested time is not present on the trajectory ledger."""

@@ -1,8 +1,7 @@
 """
 Spectral coercivity diagnostics: the sharp constant of the epsilon-split
-coercivity inequality as a top eigenvalue, its scaling in epsilon, weighted
-Sobolev verification on random test functions, and the nonlinear Coulomb
-coercivity check.
+coercivity inequality as a top eigenvalue, its scaling in epsilon, and the
+nonlinear Coulomb coercivity check.
 
 The functional is
 
@@ -23,8 +22,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coefficients import CoefficientBundle, build_coefficients
 from .errors import IterationError, NonNegativityError
-from .grid import ScalarField, VelocityGrid
-from .operators import DiffusionOperator, centered_gradient, energy_form
+from .grid import ScalarField
+from .operators import DiffusionOperator, energy_form
 
 
 @dataclass
@@ -106,23 +105,6 @@ def _top_eigenvalue(
         ) from exc
     lam = float(vals[0])
     return lam, counter["applies"], residual(lam, vecs[:, 0]), vecs[:, 0]
-
-
-def lambda_f(
-    f_or_bundle,
-    gamma: float | None = None,
-    epsilon: float = 1.0,
-    mass_weight: np.ndarray | None = None,
-    tol: float = 1e-6,
-    maxiter: int = 10_000,
-) -> float:
-    """The coercivity functional at one epsilon (conveniency wrapper)."""
-    bundle = _as_bundle(f_or_bundle, gamma)
-    if bundle is None:
-        return 0.0
-    L = DiffusionOperator(bundle.A, bc="dirichlet")
-    lam, _, _, _ = _top_eigenvalue(bundle.h.values, L, L.matrix(), epsilon, mass_weight, tol, maxiter)
-    return lam
 
 
 def _as_bundle(f_or_bundle, gamma) -> CoefficientBundle | None:
@@ -239,101 +221,6 @@ def verify_eps_poincare(
     else:
         out["predicted_slope"] = None  # only existence of a finite curve is claimed
     return out
-
-
-def _random_test_function(grid: VelocityGrid, rng: np.random.Generator, radius: float, n_modes: int = 4) -> np.ndarray:
-    """Random smooth compactly supported function: low Fourier modes under a bump."""
-    from .operators import smoothstep_cutoff
-
-    bump = smoothstep_cutoff(grid, 0.7 * radius, radius).values
-    coords = grid.coords()
-    wave = np.zeros(grid.shape)
-    L = grid.half_extent
-    for _ in range(n_modes):
-        k = rng.integers(-3, 4, size=grid.dim)
-        phase = rng.uniform(0, 2 * np.pi)
-        amp = rng.normal()
-        arg = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            arg = arg + (np.pi / L) * k[ax] * coords[ax]
-        wave = wave + amp * np.cos(arg + phase)
-    return bump * wave
-
-
-def verify_weighted_sobolev(
-    f: ScalarField,
-    gamma: float,
-    trials: int = 50,
-    seed: int = 0,
-    m_coulomb: float = 2.0,
-    bundle: CoefficientBundle | None = None,
-) -> dict:
-    """
-    Empirical constants of the weighted Sobolev inequalities with the least
-    eigenvalue field as weight: stationary exponent 2d/(d-2) for gamma > -d,
-    exponent 2m (m < d/(d-2)) at gamma = -d, plus the space-time variant on
-    synthetic slices.  Reports the max ratio of left to right side.
-    """
-    if bundle is None:
-        bundle = build_coefficients(f, gamma)
-    grid = f.grid
-    d = grid.dim
-    if d <= 2:
-        raise ValueError("the stationary exponent needs d >= 3")
-    rng = np.random.default_rng(seed)
-    astar = bundle.a_star.values
-    h = grid.spacing
-    vol = h**d
-    if gamma == -float(d):
-        m = m_coulomb
-        if not 0 < m < d / (d - 2):
-            raise ValueError(f"m must lie in (0, {d/(d-2)}), got {m}")
-        weight = astar**m
-        q_st = 0.9 * 2.0 * (1.0 + 2.0 / d)
-    else:
-        m = d / (d - 2)
-        weight = astar ** (1.0 / m)  # exponent (d-2)/d
-        q_st = 2.0 * (1.0 + 2.0 / d)
-    from .weights import doubling_constant
-
-    worst, worst_st = 0.0, 0.0
-    for _ in range(trials):
-        phi = _random_test_function(grid, rng, radius=0.8 * grid.half_extent)
-        lhs = (np.sum(np.abs(phi) ** (2 * m) * weight) * vol) ** (1.0 / m)
-        g = centered_gradient(phi, h)
-        grad_term = float(sum(np.sum(gi**2 * astar) for gi in g) * vol)
-        mass_term = float(np.sum(phi**2) * vol)
-        rhs = grad_term + mass_term
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
-        # synthetic time slices phi(t) = phi * cos(w t + theta) on t in [0, 1]
-        tgrid = np.linspace(0.0, 1.0, 9)
-        w0 = rng.uniform(0.5, 3.0)
-        th = rng.uniform(0, 2 * np.pi)
-        amp = np.cos(w0 * tgrid + th)
-        q = q_st
-        lhs_t = 0.0
-        grad_t = 0.0
-        sup_t = 0.0
-        for k, t in enumerate(tgrid):
-            wgt = 1.0 if k in (0, len(tgrid) - 1) else 2.0
-            wgt *= (tgrid[1] - tgrid[0]) / 2.0
-            lhs_t += wgt * float(np.sum(np.abs(amp[k] * phi) ** q * astar) * vol)
-            grad_t += wgt * amp[k] ** 2 * grad_term
-            sup_t = max(sup_t, amp[k] ** 2 * mass_term)
-        rhs_t = grad_t + sup_t
-        if rhs_t > 0:
-            worst_st = max(worst_st, lhs_t ** (2.0 / q) / rhs_t)
-    report = {
-        "gamma": gamma,
-        "exponent_m": m,
-        "stationary_constant": worst,
-        "space_time_constant": worst_st,
-        "trials": trials,
-    }
-    if gamma < -2.0:
-        report["doubling_constant"] = doubling_constant(f).value
-    return report
 
 
 def gks_check(f: ScalarField, p: float, bundle: CoefficientBundle | None = None) -> dict:

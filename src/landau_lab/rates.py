@@ -1,8 +1,7 @@
 """
 Regularization-rate measurements: running-maximum histories over balls, fits
-against the predicted smoothing exponents, weighted space-time integrals, the
-geometric iteration diagnostics, and the Newtonian-potential interpolation
-bound.
+against the predicted smoothing exponents, and the geometric iteration
+diagnostics.
 
 The sup norm is the plain grid maximum over nodes inside the ball, with no
 interpolation, so histories are deterministic and comparable across runs.
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import a_field, build_coefficients
+from .coefficients import build_coefficients
 from .errors import GridError, LandauLabError
 from .grid import ScalarField, maxwellian
 from .operators import centered_gradient, smoothstep_cutoff
@@ -195,31 +194,6 @@ def fit_decay(
     )
 
 
-def lplp_weighted_integral(traj: Trajectory, window: tuple[float, float]) -> float:
-    """int int astar f^(1+2/d) dv dt over a unit-or-shorter ledger window."""
-    t_lo, t_hi = window
-    if t_hi - t_lo > 1.0 + 1e-12:
-        raise ValueError("window length must not exceed 1")
-    d = traj.grid.dim
-    p = 1.0 + 2.0 / d
-    vol = traj.grid.spacing**d
-    samples = [
-        (t, s) for t, s in zip(traj.times, traj.snapshots) if t_lo - 1e-12 <= t <= t_hi + 1e-12
-    ]
-    if len(samples) < 2:
-        return 0.0
-    vals = []
-    for t, s in samples:
-        b = build_coefficients(s, traj.gamma)
-        vals.append((t, float(np.sum(b.a_star.values * s.values**p)) * vol))
-    acc = 0.0
-    for k in range(len(vals) - 1):
-        ta, va = vals[k]
-        tb, vb = vals[k + 1]
-        acc += 0.5 * (va + vb) * (tb - ta)
-    return acc
-
-
 def moser_schedule(n_max: int, T: float, R: float, dim: int = 3) -> list[dict]:
     """Iteration times, radii, and exponents: T_n = (2 - 2^-n) T/4, R_n = (1 + 2^-n) R/2."""
     if n_max > 8:
@@ -295,32 +269,4 @@ def moser_report(traj: Trajectory, n_max: int, R: float, q: float | None = None)
         "limit_cylinder_sup": sup,
         "cutoff_gradient_constants": cut_consts,
         "q": q,
-    }
-
-
-def newtonian_interpolation_check(f: ScalarField, p: float) -> dict:
-    """
-    Empirical constant in the interpolation bound for the Newtonian potential:
-    sup a <= C ||f||_1^(p/(p-1) (2/d - 1/p)) ||f||_p^(p/(p-1) (1 - 2/d)), p > d/2.
-    """
-    d = f.grid.dim
-    if d != 3:
-        raise GridError("the Newtonian interpolation check runs on d = 3")
-    if p <= d / 2.0:
-        raise ValueError(f"p must exceed d/2 = {d/2}, got {p}")
-    vol = f.grid.spacing**d
-    a = a_field(f, -3.0)
-    sup_a = float(np.max(a.values))
-    norm1 = float(np.sum(np.abs(f.values))) * vol
-    normp = (float(np.sum(np.abs(f.values) ** p)) * vol) ** (1.0 / p)
-    e1 = (p / (p - 1.0)) * (2.0 / d - 1.0 / p)
-    e2 = (p / (p - 1.0)) * (1.0 - 2.0 / d)
-    denom = norm1**e1 * normp**e2
-    return {
-        "p": p,
-        "exponent_mass": e1,
-        "exponent_lp": e2,
-        "sup_a": sup_a,
-        "empirical_constant": sup_a / denom if denom > 0 else float("inf"),
-        "exponent_sum": e1 + e2,
     }

@@ -1,8 +1,6 @@
 """
 Time integration of the homogeneous collision dynamics df/dt = Q(f, f) in
-divergence or non-divergence form, with a conservation/entropy ledger,
-weak-form residual evaluation, truncated power functions for the energy
-machinery, and the isotropic model variant.
+divergence or non-divergence form, with a conservation/entropy ledger.
 
 The default stepper freezes the nonlocal coefficients at the step start,
 treats diffusion implicitly (Jacobi-preconditioned conjugate gradients on
@@ -22,27 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .coefficients import CoefficientBundle, a_field, build_coefficients
+from .coefficients import CoefficientBundle, build_coefficients
 from .errors import (
-    GammaRangeError,
     GridError,
     IterationError,
     LandauLabError,
-    LedgerTimeError,
     NonNegativityError,
     StabilityError,
 )
-from .grid import ScalarField, VelocityGrid, maxwellian, moments
+from .grid import ScalarField, VelocityGrid, moments
 from .operators import (
     DiffusionOperator,
     boundary_drift_flux,
     cell_corner_geomean,
-    centered_gradient,
     drift_divergence,
     energy_form,
     nondivergence_apply,
-    second_derivatives,
-    smoothstep_cutoff,
 )
 
 
@@ -53,133 +46,6 @@ class ConservationError(LandauLabError, RuntimeError):
         super().__init__(message)
         self.clipped_mass = clipped_mass  # mass added by clipping, summed over the run
         self.negative_nodes = negative_nodes  # most nodes clipped in one step
-
-
-# ---------------------------------------------------------------------------
-# truncated powers
-# ---------------------------------------------------------------------------
-
-
-def _chi(s):
-    """Smooth step-down: 1 below 0, 0 above 1, quintic in between (0 <= -chi' <= 1.875)."""
-    t = np.clip(s, 0.0, 1.0)
-    return 1.0 - (6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3)
-
-
-def _chi_antiderivative(t):
-    """int_0^t chi(s) ds for t >= 0 (t - t^4 (2.5 - 3 t + t^2) on [0,1], 1/2 beyond)."""
-    t = np.asarray(t, dtype=float)
-    tt = np.clip(t, 0.0, 1.0)
-    inner = tt - (tt**6 - 3.0 * tt**5 + 2.5 * tt**4)
-    return np.where(t <= 1.0, inner, 0.5)
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _panel_integral(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorized fixed Gauss panel of fn over [lo, hi] elementwise."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    acc = np.zeros_like(mid)
-    for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-        acc = acc + w * fn(mid + half * x)
-    return acc * half
-
-
-@dataclass
-class TruncationFn:
-    """
-    Smooth truncated power family: phi(u) = u^p / p below the cap h, bending
-    to linear growth above it through a smooth cutoff.  Exposes phi, phi',
-    phi'', the square-root-compatible primitive phi_bar = int (phi'')^(1/2),
-    and phi_under = int s phi''(s) ds, which satisfies s phi'(s) - phi_under(s)
-    = phi(s).
-    """
-
-    p: float
-    h: float
-    mesh_points: int = 257
-
-    def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.h <= 0:
-            raise ValueError(f"h must be positive, got {self.h}")
-        # chi_h is constant = h + 1/2 above h + 1
-        self._chi_inf = self.h + 0.5
-        self.mesh = np.concatenate(
-            [
-                np.linspace(0.0, self.h, self.mesh_points // 2),
-                self.h + np.logspace(-3, math.log10(max(self.h, 1.0) * 10.0), self.mesh_points // 2),
-            ]
-        )
-        self.table = {
-            "chi_h": self.chi_h(self.mesh),
-            "phi": self.phi(self.mesh),
-            "phi1": self.phi1(self.mesh),
-            "phi2": self.phi2(self.mesh),
-            "phi_bar": self.phi_bar(self.mesh),
-            "phi_under": self.phi_under(self.mesh),
-        }
-
-    def chi_h(self, u):
-        """Smooth surrogate for min(u, h+1): identity below h, constant above h+1."""
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= self.h, u, self.h + _chi_antiderivative(np.maximum(u - self.h, 0.0)))
-
-    def phi1(self, u):
-        """phi'(u) = chi_h(u)^(p-1)."""
-        return self.chi_h(u) ** (self.p - 1.0)
-
-    def phi2(self, u):
-        """phi''(u) = (p-1) chi_h(u)^(p-2) chi(u-h)."""
-        u = np.asarray(u, dtype=float)
-        return (self.p - 1.0) * self.chi_h(u) ** (self.p - 2.0) * _chi(u - self.h)
-
-    def _upper_panel(self, fn, u):
-        """int_h^min(u, h+1) fn, vanishing contribution above h+1 handled by caller."""
-        u = np.asarray(u, dtype=float)
-        hi = np.minimum(u, self.h + 1.0)
-        lo = np.full_like(hi, self.h)
-        out = np.where(hi > lo, _panel_integral(fn, lo, np.maximum(hi, lo)), 0.0)
-        return out
-
-    def _phi_scalar_block(self, u):
-        below = np.minimum(u, self.h)
-        out = below**self.p / self.p
-        mid = self._upper_panel(self.phi1, u)
-        out = out + mid
-        above = np.maximum(u - (self.h + 1.0), 0.0)
-        out = out + above * self._chi_inf ** (self.p - 1.0)
-        return out
-
-    def phi(self, u):
-        """Truncated p-th power (exactly u^p/p below the cap)."""
-        return self._phi_scalar_block(np.asarray(u, dtype=float))
-
-    def phi_bar(self, u):
-        """int_0^u sqrt(phi''): (2/p) sqrt(p-1) u^(p/2) below the cap."""
-        u = np.asarray(u, dtype=float)
-        below = np.minimum(u, self.h)
-        out = (2.0 / self.p) * math.sqrt(self.p - 1.0) * below ** (self.p / 2.0)
-        out = out + self._upper_panel(lambda s: np.sqrt(self.phi2(s)), u)
-        return out
-
-    def phi_under(self, u):
-        """int_0^u s phi''(s) ds: equals (p-1)/p u^p below the cap."""
-        u = np.asarray(u, dtype=float)
-        below = np.minimum(u, self.h)
-        out = (self.p - 1.0) / self.p * below**self.p
-        out = out + self._upper_panel(lambda s: s * self.phi2(s), u)
-        return out
-
-    def identity_residual(self, u) -> np.ndarray:
-        """s phi'(s) - phi_under(s) - phi(s), zero in exact arithmetic."""
-        u = np.asarray(u, dtype=float)
-        return u * self.phi1(u) - self.phi_under(u) - self.phi(u)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +135,6 @@ class Trajectory:
     snapshots: list[ScalarField]
     ledger: list[LedgerRow]
     scheme: str = "imex"
-
-    def snapshot_at(self, t: float) -> ScalarField:
-        for tt, snap in zip(self.times, self.snapshots):
-            if abs(tt - t) <= 1e-12 * max(1.0, abs(t)):
-                return snap
-        raise LedgerTimeError(f"time {t} has no stored snapshot")
 
     @property
     def final(self) -> ScalarField:
@@ -618,200 +478,3 @@ def simulate(
             times.append(state.time)
             snaps.append(state.f.copy())
     return Trajectory(float(gamma), f0.grid, times, snaps, ledger, scheme)
-
-
-# ---------------------------------------------------------------------------
-# trajectory diagnostics
-# ---------------------------------------------------------------------------
-
-
-def entropy_production_bound_check(traj: Trajectory, slack: float = 0.02) -> dict:
-    """
-    Check the entropy balance along the ledger: the entropy drop between the
-    run endpoints matches the time integral of the production, the cumulative
-    production stays below the distance to the equilibrium entropy, and the
-    entropy never increases beyond a per-step slack.
-    """
-    if len(traj.ledger) < 2:
-        raise ValueError("need at least two ledger entries")
-    rows = traj.ledger
-    h0 = entropy(traj.snapshots[0])
-    h_end = rows[-1].entropy
-    # trapezoid of the collision-form D over ledger times (the discretization
-    # that matches the scheme's own dissipation)
-    d_int = 0.0
-    prev_t, prev_d = 0.0, None
-    for row in rows:
-        if prev_d is None:
-            prev_d = row.entropy_production_collision
-        d_int += 0.5 * (prev_d + row.entropy_production_collision) * (row.time - prev_t)
-        prev_t, prev_d = row.time, row.entropy_production_collision
-    drop = h0 - h_end
-    rel_err = abs(drop - d_int) / max(abs(drop), abs(d_int), 1e-12)
-    eq = maxwellian(traj.grid)
-    budget = h0 - entropy(eq)
-    increases = 0
-    worst_increase = 0.0
-    prev_h = h0
-    for row in rows:
-        inc = row.entropy - prev_h
-        if inc > 1e-6:
-            increases += 1
-        worst_increase = max(worst_increase, inc)
-        prev_h = row.entropy
-    return {
-        "entropy_drop": drop,
-        "production_integral": d_int,
-        "balance_rel_err": rel_err,
-        "balance_ok": rel_err <= slack or abs(drop) < 1e-10,
-        "production_budget": budget,
-        "budget_ok": d_int <= budget + slack * max(abs(budget), 1.0),
-        "entropy_increases": increases,
-        "worst_increase": worst_increase,
-    }
-
-
-def weak_form_residual(
-    traj: Trajectory,
-    trunc: TruncationFn,
-    t1: float,
-    t2: float,
-    eta: ScalarField | None = None,
-    pairing: str = "discrete",
-) -> float:
-    """
-    Residual of the weak formulation between two snapshot times, scaled by the
-    larger side: |[int eta^2 phi(f)] + int int (A grad f - f b, grad(eta^2 phi'(f)))|.
-
-    ``pairing='discrete'`` evaluates the flux pairing through the discrete
-    divergence operator (its exact summation by parts), leaving a pure
-    time-quadrature residual; ``'centered'`` quadratures the displayed
-    integrand with centered node gradients.
-    """
-    if t1 == t2:
-        return 0.0
-    if t2 < t1:
-        t1, t2 = t2, t1
-    grid = traj.grid
-    if eta is None:
-        eta = smoothstep_cutoff(grid, 0.55 * grid.half_extent, 0.8 * grid.half_extent)
-    eta2 = eta.values**2
-    sel = [(t, s) for t, s in zip(traj.times, traj.snapshots) if t1 - 1e-12 <= t <= t2 + 1e-12]
-    if len(sel) < 2 or abs(sel[0][0] - t1) > 1e-10 or abs(sel[-1][0] - t2) > 1e-10:
-        raise LedgerTimeError(f"[{t1}, {t2}] are not snapshot times of this trajectory")
-    vol = grid.spacing**grid.dim
-    mref = reference_gaussian(traj.snapshots[0])
-
-    def boundary_term(snap):
-        return float(np.sum(eta2 * trunc.phi(snap.values))) * vol
-
-    def flux_pairing(snap):
-        b = build_coefficients(snap, traj.gamma)
-        test = eta2 * trunc.phi1(snap.values)
-        if pairing == "discrete":
-            split = make_split_operator(b, mref)
-            return -float(np.sum(test * split.q_divergence(snap.values))) * vol
-        gf = centered_gradient(snap.values, grid.spacing)
-        flux = b.A.apply(gf)
-        for ax in range(grid.dim):
-            flux[ax] = flux[ax] - snap.values * b.drift[ax].values
-        gt = centered_gradient(test, grid.spacing)
-        return float(sum(np.sum(flux[ax] * gt[ax]) for ax in range(grid.dim))) * vol
-
-    side1 = boundary_term(sel[-1][1]) - boundary_term(sel[0][1])
-    integrand = [(t, flux_pairing(s)) for t, s in sel]
-    side2 = 0.0
-    for k in range(len(integrand) - 1):
-        ta, va = integrand[k]
-        tb, vb = integrand[k + 1]
-        side2 += 0.5 * (va + vb) * (tb - ta)
-    return abs(side1 + side2) / max(abs(side1), abs(side2), 1e-300)
-
-
-def lp_energy_tracker(
-    traj: Trajectory,
-    p: float,
-    R: float,
-    lambda_samples: int = 3,
-) -> dict:
-    """
-    Track sup_t int eta^2 f^p and the cumulative diffusion energy of
-    eta f^(p/2) against the coercivity-driven upper bound, reporting the
-    margin at every checkpoint (nonnegative when the energy inequality holds).
-    """
-    d = traj.grid.dim
-    if p < 1.0 + 2.0 / d:
-        raise ValueError(f"p must be at least 1 + 2/d = {1 + 2/d}, got {p}")
-    from .poincare import lambda_f
-
-    grid = traj.grid
-    eta = smoothstep_cutoff(grid, 0.75 * R, R)
-    eta2 = eta.values**2
-    vol = grid.spacing**grid.dim
-    grad_eta = centered_gradient(eta.values, grid.spacing)
-    grad_eta_sup = max(float(np.max(np.abs(g))) for g in grad_eta)
-    d2 = second_derivatives(eta.values**2, grid.spacing)
-    d2_sup = max(float(np.max(np.abs(v))) for v in d2.values())
-    spt = eta.values > 0
-    bundles = [build_coefficients(s, traj.gamma) for s in traj.snapshots]
-    lam_idx = np.unique(np.linspace(0, len(bundles) - 1, lambda_samples).astype(int))
-    lam = max(lambda_f(bundles[i], epsilon=1.0 / (2.0 * p)) for i in lam_idx)
-    cp = p / (4.0 * (p - 1.0))
-    Cp = 8.0 * cp * (6.0 + 16.0 * cp)
-
-    mass_p = [float(np.sum(eta2 * s.values**p)) * vol for s in traj.snapshots]
-    energy_terms = []
-    weight_terms = []
-    for b, s in zip(bundles, traj.snapshots):
-        psi = eta.values * s.values ** (p / 2.0)
-        L = DiffusionOperator(b.A, bc="flux")
-        energy_terms.append(L.quadratic_form(psi))
-        weight_terms.append(float(np.sum((s.values**p * b.a.values)[spt])) * vol)
-
-    times = traj.times
-    rows = []
-    t0, t_end = times[0], times[-1]
-    for k in range(1, len(times) - 1):
-        t2 = times[k]
-        sup_term = max(mass_p[k:])
-        energy_int = float(np.trapezoid(energy_terms[k:], times[k:]))
-        lhs = sup_term + (p - 1.0) / p * energy_int
-        massp_int = float(np.trapezoid(mass_p, times))
-        weight_int = float(np.trapezoid(weight_terms, times))
-        rhs = (1.0 / max(t2 - t0, 1e-12) + 0.5 * p * lam) * massp_int + Cp * (
-            grad_eta_sup**2 + d2_sup
-        ) * weight_int
-        rows.append(
-            {
-                "t": t2,
-                "sup_mass_p": sup_term,
-                "energy_integral": energy_int,
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": rhs - lhs,
-            }
-        )
-    return {
-        "p": p,
-        "R": R,
-        "lambda": lam,
-        "constant": Cp,
-        "grad_eta_sup": grad_eta_sup,
-        "d2_eta2_sup": d2_sup,
-        "rows": rows,
-    }
-
-
-def krieger_strain_rhs(f: ScalarField, alpha: float) -> ScalarField:
-    """
-    Isotropic model right-hand side a_f Laplacian(f) + alpha f^2 on d = 3,
-    with a_f the Newtonian potential of f.
-    """
-    if f.grid.dim != 3:
-        raise GridError("the isotropic model is defined for d = 3")
-    if not 0.0 <= alpha <= 1.0:
-        raise GammaRangeError(f"alpha must lie in [0, 1], got {alpha}")
-    af = a_field(f, -3.0)
-    d2 = second_derivatives(f.values, f.grid.spacing)
-    lap = sum(d2[(i, i)] for i in range(3))
-    return ScalarField(f.grid, af.values * lap + alpha * f.values**2)

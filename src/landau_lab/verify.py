@@ -23,7 +23,6 @@ import numpy as np
 
 from . import coefficients as co
 from .grid import (
-    ScalarField,
     counterexample_profile,
     make_dyadic_cubes,
     make_grid,

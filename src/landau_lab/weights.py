@@ -1,7 +1,7 @@
 """
 Weight functionals over finite cube families: Muckenhoupt constants, reverse
-Hölder constants, local doubling, the cube ratio coupling the reaction and
-diffusion coefficients, and the two-weight Sobolev cube functionals.
+Hölder constants, local doubling, and the cube ratio coupling the reaction
+and diffusion coefficients.
 
 All suprema run over explicit lattice-aligned families (deterministic and
 reproducible); cube averages are box sums off an integral image, so a full
@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 
-from .errors import EmptyRegionError, MisalignedCubeError, NonNegativityError, WeightPositivityError
+from .errors import EmptyRegionError, NonNegativityError, WeightPositivityError
 from .grid import Cube, CubeSet, ScalarField, VelocityGrid
 
 #: cubes whose weight integral falls below this fraction of the global one
@@ -309,157 +309,3 @@ def morrey_ratio_family(h: ScalarField, w: ScalarField, cubes: CubeSet, s: float
     avg_ws = cube_family_averages(w.values ** (-s), cubes)
     sides = np.array([c.side(cubes.grid) for c in cubes.cubes])
     return sides * avg_hs ** (1.0 / (2 * s)) * avg_ws ** (1.0 / (2 * s))
-
-
-def sigma_q2s(cube: Cube, grid: VelocityGrid, w1: ScalarField, w2: ScalarField, q: float, s: float) -> float:
-    """Two-weight Sobolev cube functional |Q|^(1/d - 1/2 + 1/q) avg(w1^s)^(1/qs) avg(w2^-s)^(1/2s)."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if s <= 1:
-        raise ValueError(f"s must exceed 1, got {s}")
-    b1 = w1.values[cube.slices()]
-    b2 = w2.values[cube.slices()]
-    if b1.size == 0:
-        raise EmptyRegionError("cube lies outside the grid")
-    if np.any(b2 <= 0):
-        raise WeightPositivityError("second weight vanishes on the cube")
-    d = grid.dim
-    side = cube.side(grid)
-    vol = side**d
-    return float(
-        vol ** (1.0 / d - 0.5 + 1.0 / q)
-        * np.mean(b1**s) ** (1.0 / (q * s))
-        * np.mean(b2 ** (-s)) ** (1.0 / (2 * s))
-    )
-
-
-def enlarged_subcubes(cube: Cube, grid: VelocityGrid, factor: int = 8, max_levels: int = 2) -> tuple[list[Cube], bool]:
-    """
-    Dyadic subcubes of the factor-enlarged cube clipped to the grid box;
-    returns (cubes, clipped flag).
-    """
-    n = grid.points_per_axis
-    m = cube.n_cells
-    half_extra = (factor - 1) * m // 2
-    lo = [a - half_extra for a in cube.anchor]
-    hi = [a + m + half_extra for a in cube.anchor]
-    clipped = any(l < 0 for l in lo) or any(h > n for h in hi)
-    lo = [max(0, l) for l in lo]
-    hi = [min(n, h) for h in hi]
-    out: list[Cube] = []
-    for level in range(max_levels + 1):
-        size = max(m // 2**level, 1)
-        for anchor in itertools.product(
-            *[range(l, h - size + 1, size) for l, h in zip(lo, hi)]
-        ):
-            out.append(Cube(tuple(anchor), size, level))
-        if size == 1:
-            break
-    return out, clipped
-
-
-def curly_c(
-    cube: Cube,
-    grid: VelocityGrid,
-    w1: ScalarField,
-    w2: ScalarField,
-    q: float,
-    s: float,
-    subcubes: list[Cube] | None = None,
-    constant: float = 1.0,
-) -> dict:
-    """
-    Sobolev-constant functional: ``constant`` times the sup of sigma over the
-    subcubes of the 8-fold enlargement (clipped to the grid, with a flag).
-    """
-    if subcubes is None:
-        subcubes, clipped = enlarged_subcubes(cube, grid)
-    else:
-        clipped = False
-    best, best_cube = -np.inf, None
-    for k, sub in enumerate(subcubes):
-        val = sigma_q2s(sub, grid, w1, w2, q, s)
-        if val > best:
-            best, best_cube = val, k
-    return {
-        "value": constant * best,
-        "sup_sigma": best,
-        "constant": constant,
-        "argmax_subcube": best_cube,
-        "clipped": clipped,
-        "n_subcubes": len(subcubes),
-    }
-
-
-def e_ell(w1: ScalarField, ell: float, q: float) -> ScalarField:
-    """
-    Piecewise-constant tile field: on each tile Q of the side-ell partition,
-    |Q|^(-1) (int_Q w1)^(2/q).
-    """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    grid = w1.grid
-    m = ell / grid.spacing
-    mi = int(round(m))
-    if abs(m - mi) > 1e-9 or mi < 1 or grid.points_per_axis % mi != 0:
-        raise MisalignedCubeError(f"tile side {ell} does not align with the lattice")
-    nt = grid.points_per_axis // mi
-    d = grid.dim
-    shape = tuple(x for _ in range(d) for x in (nt, mi))
-    tiles = w1.values.reshape(shape)
-    axes = tuple(2 * ax + 1 for ax in range(d))
-    sums = tiles.sum(axis=axes) * grid.spacing**d
-    vol = ell**d
-    tile_vals = sums ** (2.0 / q) / vol
-    out = tile_vals
-    for ax in range(d):
-        out = np.repeat(out, mi, axis=ax)
-    return ScalarField(grid, out)
-
-
-def random_cube_test_function(
-    grid: VelocityGrid, cube: Cube, rng: np.random.Generator, n_modes: int = 3
-) -> np.ndarray:
-    """Random superposition of tensor sine modes vanishing on the cube boundary."""
-    vals = np.zeros(grid.shape)
-    block = [np.arange(cube.n_cells) + 0.5 for _ in range(grid.dim)]
-    local = np.zeros((cube.n_cells,) * grid.dim)
-    for _ in range(n_modes):
-        ks = rng.integers(1, 4, size=grid.dim)
-        amp = rng.normal()
-        term = amp
-        for ax in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[ax] = cube.n_cells
-            term = term * np.sin(np.pi * ks[ax] * block[ax] / cube.n_cells).reshape(shape)
-        local = local + term
-    vals[cube.slices()] = local
-    return vals
-
-
-def sobolev_empirical_constant(
-    grid: VelocityGrid,
-    cube: Cube,
-    w1: ScalarField,
-    w2: ScalarField,
-    q: float,
-    n_trials: int,
-    rng: np.random.Generator,
-) -> dict:
-    """
-    Largest ratio ||phi||_{L^q(w1)} / ||grad phi||_{L^2(w2)} over random
-    compactly supported test functions on the cube.
-    """
-    from .operators import centered_gradient
-
-    h = grid.spacing
-    best = 0.0
-    for _ in range(n_trials):
-        phi = random_cube_test_function(grid, cube, rng)
-        lhs = (np.sum(np.abs(phi) ** q * w1.values) * h**grid.dim) ** (1.0 / q)
-        g = centered_gradient(phi, h)
-        rhs2 = sum(np.sum(gi**2 * w2.values) for gi in g) * h**grid.dim
-        if rhs2 <= 0:
-            continue
-        best = max(best, float(lhs / np.sqrt(rhs2)))
-    return {"empirical_constant": best, "trials": n_trials}

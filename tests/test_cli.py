@@ -195,6 +195,27 @@ def test_public_names_resolve():
     assert missing == []
 
 
+def test_no_unused_imports():
+    import ast
+    import pathlib
+
+    import landau_lab
+
+    unused = []
+    for path in sorted(pathlib.Path(landau_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(landau_lab.__all__)  # re-exports
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 def test_profile_kinds(tmp_path):
     grid = make_grid(3, 8.0, 16)
     rng = np.random.default_rng(0)

@@ -279,32 +279,6 @@ def test_comparability_report(maxwellian16):
         co.comparability_report(zero, -1.0)
 
 
-def test_kernel_cube_average_oracle_regimes():
-    on_axis = co.kernel_cube_average_oracle(
-        np.array([0.0, 0.0, 3.0]), 0.5, np.array([0.0, 0.0, 1.0]), -1.0, 1.0
-    )
-    assert on_axis["regime"] == "near_axis"
-    assert on_axis["value"] == pytest.approx(3.0 ** (-1.0) * 0.25, rel=1e-12)
-    const = co.kernel_cube_average_oracle(
-        np.array([1.0, 2.0, 0.0]), 0.5, np.array([0.0, 0.0, 1.0]), -1.0, 0.0
-    )
-    assert const["value"] == 1.0
-    with pytest.raises(ValueError):
-        co.kernel_cube_average_oracle(
-            np.array([1.0, 0.0, 0.0]), 0.5, np.array([0.0, 0.0, 1.0]), -3.0, 4.0
-        )
-
-
-def test_kernel_cube_average_oracle_vs_quadrature():
-    grid = make_grid(3, 8.0, 64)
-    v0 = np.array([4.0, 0.0, 0.0])
-    e = np.array([0.0, 0.0, 1.0])
-    oracle = co.kernel_cube_average_oracle(v0, 0.5, e, -3.0, 1.0, spacing=grid.spacing)
-    numeric = co.kernel_cube_average_numeric(grid, v0, 0.5, e, -3.0, 1.0)
-    assert not oracle["indeterminate"]
-    assert oracle["lower"] <= numeric <= oracle["upper"]
-
-
 def test_tampered_constant_trips_the_chain_check(monkeypatch):
     # the verification gate must catch a mis-transcribed normalization
     import landau_lab.coefficients as comod

@@ -8,9 +8,7 @@ from landau_lab.poincare import (
     dense_top_eigenvalue,
     gks_check,
     lambda_curve,
-    lambda_f,
     verify_eps_poincare,
-    verify_weighted_sobolev,
 )
 
 
@@ -26,7 +24,7 @@ def bundle12(grid12):
 
 def test_lambda_of_zero_density(grid12):
     zero = ScalarField(grid12, np.zeros(grid12.shape))
-    assert lambda_f(zero, gamma=-1.0, epsilon=0.5) == 0.0
+    assert lambda_curve(zero, gamma=-1.0, epsilons=[0.5]).lambdas[0] == 0.0
 
 
 def test_lambda_monotone_in_epsilon(bundle12):
@@ -41,8 +39,8 @@ def test_lambda_scaling_in_density(grid12, bundle12):
     f2 = ScalarField(grid12, c * bundle12.f.values)
     b2 = build_coefficients(f2, -1.0)
     for eps in (0.01, 0.3):
-        l1 = lambda_f(bundle12, epsilon=eps, tol=1e-10)
-        l2 = lambda_f(b2, epsilon=eps, tol=1e-10)
+        l1 = lambda_curve(bundle12, epsilons=[eps], tol=1e-10).lambdas[0]
+        l2 = lambda_curve(b2, epsilons=[eps], tol=1e-10).lambdas[0]
         assert l2 == pytest.approx(c * l1, rel=1e-7)
 
 
@@ -50,7 +48,7 @@ def test_lambda_matches_dense_oracle(bundle12):
     epsilons = [0.01, 0.3, 1.0]
     dense = {eps: dense_top_eigenvalue(bundle12, eps) for eps in epsilons}
     for eps in (0.01, 0.3):
-        lam = lambda_f(bundle12, epsilon=eps, tol=1e-10)
+        lam = lambda_curve(bundle12, epsilons=[eps], tol=1e-10).lambdas[0]
         assert lam == pytest.approx(dense[eps], rel=1e-6)
     # warm-started curve, plain and bracket-weighted at gamma = -1
     bracket = (1.0 + bundle12.grid.radius_squared()) ** -0.5
@@ -66,13 +64,13 @@ def test_lambda_refinement_stability():
     for n in (12, 24):
         g = make_grid(3, 6.0, n)
         b = build_coefficients(maxwellian(g), -1.0)
-        vals.append(lambda_f(b, epsilon=0.1))
+        vals.append(lambda_curve(b, epsilons=[0.1]).lambdas[0])
     assert abs(vals[1] - vals[0]) / vals[1] < 0.05
 
 
 def test_lambda_iteration_cap(bundle12, monkeypatch):
     with pytest.raises(IterationError) as info:
-        lambda_f(bundle12, epsilon=0.3, maxiter=1, tol=1e-14)
+        lambda_curve(bundle12, epsilons=[0.3], maxiter=1, tol=1e-14).lambdas[0]
     assert np.isnan(info.value.residual)  # ARPACK returned no Ritz pair
     assert "no Ritz pair converged within 1 restarts" in str(info.value)
     # a capped run that does return a Ritz pair reports that pair's residual
@@ -98,7 +96,7 @@ def test_lambda_iteration_cap(bundle12, monkeypatch):
         k_phi = bundle12.h.values * phi + 0.3 * L.apply(phi)
         expected = np.linalg.norm(k_phi - ritz * w * phi) / ritz
         with pytest.raises(IterationError) as info:
-            lambda_f(bundle12, epsilon=0.3, mass_weight=weight)
+            lambda_curve(bundle12, epsilons=[0.3], mass_weight=weight).lambdas[0]
         assert info.value.residual == pytest.approx(expected, rel=1e-12)
         assert info.value.residual != ritz
 
@@ -131,18 +129,6 @@ def test_counterexample_lambda_floor(grid12):
     rep = verify_eps_poincare(f, -3.0, epsilons=np.logspace(-3, 0, 5))
     assert rep["predicted_slope"] is None
     assert rep["lambda_floor"] > 0.1 * rep["lambda_max"]  # no decay to zero
-
-
-def test_weighted_sobolev_reports(grid12):
-    M = maxwellian(grid12)
-    rep = verify_weighted_sobolev(M, -1.0, trials=8, seed=2)
-    assert rep["exponent_m"] == pytest.approx(3.0)
-    assert 0 < rep["stationary_constant"] < 10.0
-    assert 0 < rep["space_time_constant"] < 10.0
-    rep3 = verify_weighted_sobolev(M, -3.0, trials=4, seed=2, m_coulomb=2.0)
-    assert rep3["exponent_m"] == 2.0
-    assert "doubling_constant" in rep3
-    assert np.isfinite(rep3["stationary_constant"])
 
 
 def test_gks_basics(grid12):

@@ -6,10 +6,8 @@ from landau_lab.grid import ScalarField, make_grid, maxwellian, squeezed_gaussia
 from landau_lab.rates import (
     fit_decay,
     linf_history,
-    lplp_weighted_integral,
     moser_report,
     moser_schedule,
-    newtonian_interpolation_check,
 )
 from landau_lab.solver import simulate
 
@@ -73,23 +71,6 @@ def test_fit_decay_unknown_theorem(relaxing_traj):
         fit_decay(relaxing_traj, 2.0, "bogus")
 
 
-def test_lplp_weighted_integral(relaxing_traj, stationary_traj):
-    with pytest.raises(ValueError):
-        lplp_weighted_integral(relaxing_traj, (0.0, 1.5))
-    # additivity holds when the split point is a snapshot time
-    mid = max(t for t in relaxing_traj.times if t <= 0.5)
-    hi = max(t for t in relaxing_traj.times if t <= 1.0)
-    a = lplp_weighted_integral(relaxing_traj, (0.0, mid))
-    b = lplp_weighted_integral(relaxing_traj, (mid, hi))
-    both = lplp_weighted_integral(relaxing_traj, (0.0, hi))
-    assert a > 0 and b > 0
-    assert both == pytest.approx(a + b, rel=1e-9)  # additive over windows
-    # time translation invariance on a stationary run
-    s1 = lplp_weighted_integral(stationary_traj, (0.0, 0.3))
-    s2 = lplp_weighted_integral(stationary_traj, (0.3, 0.6))
-    assert s1 == pytest.approx(s2, rel=1e-4)
-
-
 def test_moser_schedule_values():
     rows = moser_schedule(3, 1.0, 4.0)
     assert rows[0]["T_n"] == pytest.approx(0.25)
@@ -110,25 +91,3 @@ def test_moser_report_monotone_cutoffs(grid16):
     for row_s, row_b in zip(rep_small["rows"], rep_big["rows"]):
         assert row_s["E_n"] <= row_b["E_n"] * (1.0 + 1e-12)
     assert all(np.isfinite(r["E_n"]) for r in rep_small["rows"])
-
-
-def test_newtonian_interpolation(maxwellian16, rng):
-    rep = newtonian_interpolation_check(maxwellian16, 2.0)
-    assert rep["exponent_mass"] == pytest.approx(1.0 / 3.0)
-    assert rep["exponent_lp"] == pytest.approx(2.0 / 3.0)
-    assert rep["exponent_sum"] == pytest.approx(1.0)
-    assert np.isfinite(rep["empirical_constant"])
-    # exponents sum to one, so both sides scale linearly in the density
-    f2 = ScalarField(maxwellian16.grid, 3.0 * maxwellian16.values)
-    rep2 = newtonian_interpolation_check(f2, 2.0)
-    assert rep2["empirical_constant"] == pytest.approx(rep["empirical_constant"], rel=1e-12)
-    with pytest.raises(ValueError):
-        newtonian_interpolation_check(maxwellian16, 1.2)
-    # frozen bound over a seeded sweep
-    from landau_lab.grid import random_density
-
-    worst = 0.0
-    for _ in range(20):
-        f = random_density(maxwellian16.grid, rng)
-        worst = max(worst, newtonian_interpolation_check(f, 2.0)["empirical_constant"])
-    assert worst < 0.5  # measured ~0.33

@@ -4,7 +4,6 @@ import pytest
 from landau_lab import coefficients as co
 from landau_lab.errors import EmptyRegionError, WeightPositivityError
 from landau_lab.grid import (
-    Cube,
     ScalarField,
     make_dyadic_cubes,
     make_grid,
@@ -15,14 +14,10 @@ from landau_lab.weights import (
     a1_constant,
     ap_constant,
     cube_family_averages,
-    curly_c,
     doubling_constant,
-    e_ell,
     morrey_ratio,
     morrey_ratio_family,
     reverse_holder,
-    sigma_q2s,
-    sobolev_empirical_constant,
 )
 
 
@@ -198,66 +193,6 @@ def test_morrey_ratio_errors(grid16, maxwellian16, cubes16):
         morrey_ratio(b.h, w, cubes16.cubes[0])
     with pytest.raises(ValueError):
         morrey_ratio(b.h, b.a, cubes16.cubes[0], s=0.5)
-
-
-def test_sigma_unit_cube_value():
-    g = make_grid(3, 8.0, 16)  # spacing 1, a one-cell cube has side 1
-    ones = ScalarField(g, np.ones(g.shape))
-    val = sigma_q2s(Cube((8, 8, 8), 1), g, ones, ones, q=2.0, s=2.0)
-    assert val == pytest.approx(1.0, rel=1e-12)
-
-
-def test_sigma_matches_morrey_at_q2(grid16, maxwellian16, cubes16):
-    b = co.build_coefficients(maxwellian16, -1.0)
-    cube = cubes16.cubes[10]
-    s = 1.5
-    assert sigma_q2s(cube, grid16, b.h, b.a_star, 2.0, s) == pytest.approx(
-        morrey_ratio(b.h, b.a_star, cube, s=s), rel=1e-12
-    )
-
-
-def test_curly_c_and_empirical_sobolev(grid16, maxwellian16):
-    b = co.build_coefficients(maxwellian16, -1.0)
-    cube = Cube((4, 4, 4), 8)
-    rep = curly_c(cube, grid16, b.h, b.a_star, q=2.0, s=1.5)
-    assert rep["clipped"] in (True, False)
-    assert rep["value"] > 0
-    emp = sobolev_empirical_constant(
-        grid16, cube, b.h, b.a_star, q=2.0, n_trials=50, rng=np.random.default_rng(3)
-    )
-    # the cube functional controls the empirical constant up to the
-    # structural factor; the measured ratio is the frozen regression value
-    assert emp["empirical_constant"] <= 1.0 * rep["value"]
-
-
-def test_e_ell_constant_and_tiles(grid16):
-    ones = ScalarField(grid16, np.ones(grid16.shape))
-    for q in (2.0, 4.0):
-        field = e_ell(ones, 4.0, q)
-        assert np.allclose(field.values, 4.0 ** (3 * (2.0 / q - 1.0)), rtol=1e-12)
-    w = ScalarField(grid16, grid16.radius())
-    tiles = e_ell(w, 4.0, 2.0)
-    cube = Cube((0, 0, 0), 4)
-    block_avg = float(np.mean(w.values[cube.slices()]))
-    assert tiles.values[0, 0, 0] == pytest.approx(block_avg, rel=1e-12)
-
-
-def test_e_ell_envelope_for_reaction_weight():
-    g = make_grid(3, 8.0, 32)
-    M = maxwellian(g)
-    h = co.h_field(M, -1.0)
-    field = e_ell(h, 1.0, 2.0)
-    env = (1.0 + g.radius_squared()) ** (-0.5)  # ell^gamma <v>^gamma at ell = 1
-    ratio = field.values / env
-    assert np.max(ratio) < 0.2  # frozen envelope constant (measured ~0.11)
-
-
-def test_e_ell_misaligned(grid16):
-    ones = ScalarField(grid16, np.ones(grid16.shape))
-    from landau_lab.errors import MisalignedCubeError
-
-    with pytest.raises(MisalignedCubeError):
-        e_ell(ones, 0.3, 2.0)
 
 
 def test_cube_family_averages_match_direct(grid16, cubes16, rng):
