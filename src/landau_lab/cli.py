@@ -61,15 +61,24 @@ def parse_config(raw: dict) -> dict:
     cfg["points_per_axis"] = need("grid.points_per_axis", int)
     cfg["gamma"] = need("gamma", float)
     cfg["scheme"] = need("scheme", str, default="imex", required=False)
-    if cfg["scheme"] not in ("imex", "explicit"):
-        problems.append(f"field 'scheme' must be imex or explicit, got {cfg['scheme']!r}")
+    if cfg["scheme"] != "imex":
+        problems.append(f"field 'scheme' must be imex, got {cfg['scheme']!r}")
     cfg["t_final"] = need("t_final", float)
     cfg["snapshot_stride"] = need("snapshot_stride", int, default=1, required=False)
+    if cfg["snapshot_stride"] < 1:
+        problems.append(f"field 'snapshot_stride' must be >= 1, got {cfg['snapshot_stride']}")
     cfg["seed"] = need("seed", int, default=0, required=False)
-    dt = raw.get("dt", {}) if isinstance(raw.get("dt", {}), dict) else {}
-    cfg["dt_max"] = float(dt.get("dt_max", np.inf))
-    cfg["dt_fixed"] = None if dt.get("fixed") is None else float(dt["fixed"])
-    cfg["t_ramp"] = None if dt.get("t_ramp") is None else float(dt["t_ramp"])
+    if not isinstance(raw.get("dt", {}), dict):
+        problems.append(f"field 'dt' must be a table, got {raw['dt']!r}")
+    for key, path, default in (
+        ("dt_max", "dt.dt_max", np.inf),
+        ("dt_fixed", "dt.fixed", None),
+        ("t_ramp", "dt.t_ramp", None),
+    ):
+        value = need(path, float, default=default, required=False)
+        if value is not None and not value > 0:
+            problems.append(f"field {path!r} must be > 0, got {value}")
+        cfg[key] = value
     prof = raw.get("initial_profile")
     if not isinstance(prof, dict) or "kind" not in prof:
         problems.append("missing field 'initial_profile.kind'")
@@ -83,8 +92,8 @@ def parse_config(raw: dict) -> dict:
     if cfg["gamma"] is not None and cfg["dim"] is not None:
         if not -cfg["dim"] <= cfg["gamma"] <= 0:
             problems.append(f"field 'gamma' must lie in [-{cfg['dim']}, 0], got {cfg['gamma']}")
-    if cfg["t_final"] is not None and cfg["t_final"] < 0:
-        problems.append("field 't_final' must be nonnegative")
+    if cfg["t_final"] is not None and not 0 <= cfg["t_final"] < np.inf:
+        problems.append(f"field 't_final' must be finite and nonnegative, got {cfg['t_final']}")
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -132,7 +141,7 @@ def _write_trajectory(traj: Trajectory, out_dir, cfg: dict):
         "config": cfg,
         "gamma": traj.gamma,
         "grid": list(traj.grid.key()),
-        "scheme": traj.scheme,
+        "scheme": cfg["scheme"],
         "snapshots": snap_names,
         "constants": coeff.kernel_constants(traj.grid.dim, traj.gamma),
         "hashes": {},
@@ -155,9 +164,7 @@ def load_trajectory(run_dir) -> Trajectory:
     with open(os.path.join(run_dir, "ledger.csv"), newline="") as fh:
         dim = snaps[0].grid.dim
         ledger = [LedgerRow.from_csv(record, dim) for record in csv.DictReader(fh)]
-    return Trajectory(
-        float(manifest["gamma"]), snaps[0].grid, times, snaps, ledger, manifest.get("scheme", "imex")
-    )
+    return Trajectory(float(manifest["gamma"]), snaps[0].grid, times, snaps, ledger)
 
 
 def cmd_simulate(config_path, out_dir, seed: int | None = None) -> str:
@@ -171,7 +178,6 @@ def cmd_simulate(config_path, out_dir, seed: int | None = None) -> str:
         f0,
         cfg["gamma"],
         cfg["t_final"],
-        scheme=cfg["scheme"],
         dt_max=cfg["dt_max"],
         dt_fixed=cfg["dt_fixed"],
         t_ramp=cfg["t_ramp"],
@@ -316,7 +322,7 @@ def cmd_diagnose(target, which: str, out_dir, gamma: float | None = None) -> dic
 
 
 def cmd_rates(run_dir, theorem_id: str, R_list, out_dir) -> list:
-    from .rates import fit_decay, history_csv, linf_history
+    from .rates import fit_decay, linf_history
 
     os.makedirs(out_dir, exist_ok=True)
     traj = load_trajectory(run_dir)
@@ -328,7 +334,11 @@ def cmd_rates(run_dir, theorem_id: str, R_list, out_dir) -> list:
         write_json(os.path.join(out_dir, f"rate_fit_R{R:g}.json"), fit.to_dict())
         times, sups = linf_history(traj, R)
         fitted = fit.amplitude * (1.0 + 1.0 / np.maximum(times, 1e-12)) ** fit.alpha_hat
-        history_csv(os.path.join(out_dir, f"history_R{R:g}.csv"), times, sups, fitted)
+        write_csv(
+            os.path.join(out_dir, f"history_R{R:g}.csv"),
+            ["t", "sup_norm", "fitted"],
+            zip(times.tolist(), sups.tolist(), fitted.tolist()),
+        )
         fits.append(fit)
     return fits
 

@@ -52,10 +52,6 @@ class IterationError(LandauLabError, RuntimeError):
         self.iterate = iterate
 
 
-class StabilityError(LandauLabError, RuntimeError):
-    """Explicit step size violates the stability guard."""
-
-
 class SnapshotFormatError(LandauLabError, ValueError):
     """Field snapshot file has a bad magic string or size."""
 

@@ -102,9 +102,7 @@ def nondivergence_apply(A: MatrixField, h: np.ndarray, f: np.ndarray) -> np.ndar
     return out
 
 
-def drift_divergence(
-    f: np.ndarray, drift: list[np.ndarray], spacing: float, face_mean: str = "geometric"
-) -> np.ndarray:
+def drift_divergence(f: np.ndarray, drift: list[np.ndarray], spacing: float) -> np.ndarray:
     """
     div(f b) with symmetric two-point face values and zero flux through the
     box boundary.  Face fluxes telescope, so the node sum vanishes.  The
@@ -118,12 +116,7 @@ def drift_divergence(
         hi = [slice(None)] * d
         lo[ax] = slice(0, -1)
         hi[ax] = slice(1, None)
-        if face_mean == "geometric":
-            fface = np.sqrt(np.maximum(f[tuple(lo)], 0.0) * np.maximum(f[tuple(hi)], 0.0))
-        elif face_mean == "arithmetic":
-            fface = 0.5 * (f[tuple(lo)] + f[tuple(hi)])
-        else:
-            raise ValueError(f"unknown face mean {face_mean!r}")
+        fface = np.sqrt(np.maximum(f[tuple(lo)], 0.0) * np.maximum(f[tuple(hi)], 0.0))
         flux = fface * 0.5 * (drift[ax][tuple(lo)] + drift[ax][tuple(hi)])
         up = [slice(None)] * d
         dn = [slice(None)] * d

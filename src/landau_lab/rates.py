@@ -9,8 +9,6 @@ interpolation, so histories are deterministic and comparable across runs.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,11 +52,6 @@ class RateFit:
             "hypothesis_flags": self.hypothesis_flags,
         }
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def linf_history(traj: Trajectory, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid maximum of f over the ball of radius R at every snapshot time."""
@@ -68,17 +61,6 @@ def linf_history(traj: Trajectory, R: float) -> tuple[np.ndarray, np.ndarray]:
     times = np.array(traj.times)
     sups = np.array([float(np.max(s.values[mask])) for s in traj.snapshots])
     return times, sups
-
-
-def history_csv(path, times, sups, fitted=None):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sup_norm"] + (["fitted"] if fitted is not None else []))
-        for k, (t, s) in enumerate(zip(times, sups)):
-            row = [repr(float(t)), repr(float(s))]
-            if fitted is not None:
-                row.append(repr(float(fitted[k])))
-            writer.writerow(row)
 
 
 PREDICTED_EXPONENTS = {

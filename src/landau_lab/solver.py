@@ -1,8 +1,8 @@
 """
 Time integration of the homogeneous collision dynamics df/dt = Q(f, f) in
-divergence or non-divergence form, with a conservation/entropy ledger.
+the split divergence form, with a conservation/entropy ledger.
 
-The default stepper freezes the nonlocal coefficients at the step start,
+The stepper freezes the nonlocal coefficients at the step start,
 treats diffusion implicitly (Jacobi-preconditioned conjugate gradients on
 the symmetric positive definite system, with the diffusion operator
 assembled once per step) and the drift explicitly; zero flux through the
@@ -21,13 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .coefficients import CoefficientBundle, build_coefficients
-from .errors import (
-    GridError,
-    IterationError,
-    LandauLabError,
-    NonNegativityError,
-    StabilityError,
-)
+from .errors import GridError, IterationError, LandauLabError, NonNegativityError
 from .grid import ScalarField, VelocityGrid, moments
 from .operators import (
     DiffusionOperator,
@@ -35,7 +29,6 @@ from .operators import (
     cell_corner_geomean,
     drift_divergence,
     energy_form,
-    nondivergence_apply,
 )
 
 
@@ -134,7 +127,6 @@ class Trajectory:
     times: list[float]
     snapshots: list[ScalarField]
     ledger: list[LedgerRow]
-    scheme: str = "imex"
 
     @property
     def final(self) -> ScalarField:
@@ -246,25 +238,13 @@ def make_split_operator(bundle: CoefficientBundle, mref: ScalarField) -> SplitOp
 
 
 def collision_operator(
-    f: ScalarField,
-    gamma: float,
-    form: str = "divergence",
-    bundle: CoefficientBundle | None = None,
-    mref: ScalarField | None = None,
+    f: ScalarField, gamma: float, bundle: CoefficientBundle | None = None
 ) -> ScalarField:
-    """Q(f, f) via symmetric fluxes (divergence) or tr(A D^2 f) + f h (nondivergence)."""
+    """Q(f, f) in the split divergence form, with symmetric fluxes around the reference Gaussian of f."""
     if bundle is None:
         bundle = build_coefficients(f, gamma)
-    if form == "divergence":
-        if mref is None:
-            mref = reference_gaussian(f)
-        split = make_split_operator(bundle, mref)
-        out = split.q_divergence(f.values)
-    elif form == "nondivergence":
-        out = nondivergence_apply(bundle.A, bundle.h.values, f.values)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return ScalarField(f.grid, out)
+    split = make_split_operator(bundle, reference_gaussian(f))
+    return ScalarField(f.grid, split.q_divergence(f.values))
 
 
 def _ledger_row(
@@ -342,17 +322,13 @@ def _imex_solve(
 def step(
     state: SolverState,
     dt: float,
-    scheme: str = "imex",
     bundle: CoefficientBundle | None = None,
     split: SplitOperator | None = None,
-    explicit_guard: float = 0.5,
-    cg_tol: float = 1e-10,
 ) -> tuple[SolverState, StepStats]:
     """
-    Advance one step: implicit diffusion with frozen coefficients and explicit
-    drift (imex), or forward Euler with a stability guard (explicit).
-    Negative nodes are clipped and counted in the returned stats, never
-    renormalized.
+    Advance one step: implicit diffusion with frozen coefficients and
+    explicit drift.  Negative nodes are clipped and counted in the returned
+    stats, never renormalized.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -366,18 +342,8 @@ def step(
     f = state.f.values
     spacing = state.f.grid.spacing
     leak = boundary_drift_flux(f, split.drift_rest, spacing) * dt
-    if scheme == "imex":
-        rhs = f - dt * drift_divergence(f, split.drift_rest, spacing)
-        fnew, _, _ = _imex_solve(split, dt, rhs, tol=cg_tol)
-    elif scheme == "explicit":
-        amax = float(np.max(bundle.a.values))
-        if amax > 0 and dt > explicit_guard * spacing**2 / amax:
-            raise StabilityError(
-                f"dt={dt} violates the explicit guard {explicit_guard} h^2 / max(a)"
-            )
-        fnew = f + dt * split.q_divergence(f)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    rhs = f - dt * drift_divergence(f, split.drift_rest, spacing)
+    fnew, _, _ = _imex_solve(split, dt, rhs)
     neg = fnew < 0
     nneg = int(np.count_nonzero(neg))
     # summing the negated values keeps an unclipped step at +0.0, not -0.0
@@ -391,30 +357,16 @@ def step(
 
 
 def auto_dt(
-    bundle: CoefficientBundle,
-    scheme: str,
-    spacing: float,
-    split: SplitOperator | None = None,
-    reaction_cap: float = 0.1,
-    drift_cfl: float = 0.5,
-    dt_max: float = math.inf,
-    explicit_safety: float = 0.15,
+    bundle: CoefficientBundle, spacing: float, split: SplitOperator, dt_max: float = math.inf
 ) -> float:
-    """Step-size policy: reaction cap 0.1/max(h), drift CFL on the explicit drift, diffusion guard when explicit."""
+    """Step-size policy: reaction cap 0.1/max(h) and CFL number 0.5 on the explicit drift."""
     hmax = float(np.max(bundle.h.values))
-    if split is not None:
-        bmax = max(float(np.max(np.abs(b))) for b in split.drift_rest)
-    else:
-        bmax = max(float(np.max(np.abs(b.values))) for b in bundle.drift)
+    bmax = max(float(np.max(np.abs(b))) for b in split.drift_rest)
     dt = dt_max
     if hmax > 0:
-        dt = min(dt, reaction_cap / hmax)
+        dt = min(dt, 0.1 / hmax)
     if bmax > 0:
-        dt = min(dt, drift_cfl * spacing / bmax)
-    if scheme == "explicit":
-        amax = float(np.max(bundle.a.values))
-        if amax > 0:
-            dt = min(dt, explicit_safety * spacing**2 / amax)
+        dt = min(dt, 0.5 * spacing / bmax)
     if not math.isfinite(dt):
         raise GridError("cannot choose a step size for vanishing coefficients")
     return dt
@@ -424,20 +376,27 @@ def simulate(
     f0: ScalarField,
     gamma: float,
     t_final: float,
-    scheme: str = "imex",
     dt_max: float = math.inf,
     dt_fixed: float | None = None,
     t_ramp: float | None = None,
     snapshot_stride: int = 1,
     mass_drift_tol: float = 1e-5,
-    cg_tol: float = 1e-10,
 ) -> Trajectory:
     """
     March to t_final recording snapshots every ``snapshot_stride`` steps.
     ``t_ramp`` bounds dt by ramp * (t + first step) so early times stay
     resolved.  Aborts when the ledger mass drifts beyond tolerance, reporting
     the mass clipping has added so far and the most nodes clipped in a step.
+    t_final must be finite, step sizes positive and the stride at least 1,
+    else the loop would never end.
     """
+    if not 0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final!r}")
+    for name, value in (("dt_max", dt_max), ("dt_fixed", dt_fixed), ("t_ramp", t_ramp)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride!r}")
     f0.require_density("initial data")
     state = SolverState(f0.copy(), 0.0, float(gamma), 0)
     times = [0.0]
@@ -467,14 +426,14 @@ def simulate(
         if dt_fixed is not None:
             dt = dt_fixed
         else:
-            dt = auto_dt(bundle, scheme, f0.grid.spacing, split=split, dt_max=dt_max)
+            dt = auto_dt(bundle, f0.grid.spacing, split, dt_max=dt_max)
             if t_ramp is not None:
                 dt = min(dt, t_ramp * max(state.time, dt / 4.0))
         dt = min(dt, t_final - state.time)
-        state, stats = step(state, dt, scheme=scheme, bundle=bundle, split=split, cg_tol=cg_tol)
+        state, stats = step(state, dt, bundle=bundle, split=split)
         del bundle, split  # release this step's operator before the next one is built
         k += 1
         if k % snapshot_stride == 0 or state.time >= t_final - 1e-14:
             times.append(state.time)
             snaps.append(state.f.copy())
-    return Trajectory(float(gamma), f0.grid, times, snaps, ledger, scheme)
+    return Trajectory(float(gamma), f0.grid, times, snaps, ledger)

@@ -189,7 +189,7 @@ def gate_conservation(n=32, t_final=0.5):
     grid = make_grid(3, 8.0, n)
     M = maxwellian(grid)
     t0 = time.perf_counter()
-    traj = simulate(M, 0.0, t_final, scheme="imex", snapshot_stride=4)
+    traj = simulate(M, 0.0, t_final, snapshot_stride=4)
     took = time.perf_counter() - t0
     led = traj.ledger
     mass_drift = abs(led[-1].mass - led[0].mass)
@@ -343,7 +343,7 @@ def gate_gks(sizes=(24, 32), seed=DEFAULT_SEED):
 def gate_rates(n=32, L=4.0, sigma=0.2, t_final=2.5, band=None):
     grid = make_grid(3, L, n)
     f0 = squeezed_gaussian(grid, sigma, 0.5)
-    traj = simulate(f0, 0.0, t_final, scheme="imex", snapshot_stride=1, t_ramp=0.3, dt_max=0.1)
+    traj = simulate(f0, 0.0, t_final, snapshot_stride=1, t_ramp=0.3, dt_max=0.1)
     fit = fit_decay(traj, L / 2.0, "main_1", R_sweep=(1.0, 1.5, 2.0, 3.0))
     ok = fit.residual_rms <= 0.15 and fit.alpha_hat > 0
     if band is not None:
@@ -359,7 +359,7 @@ def gate_rates(n=32, L=4.0, sigma=0.2, t_final=2.5, band=None):
 def gate_moser(n=32, t_final=1.0):
     grid = make_grid(3, 8.0, n)
     f0 = squeezed_gaussian(grid, 0.35, 0.5)
-    traj = simulate(f0, -1.0, t_final, scheme="imex", snapshot_stride=2, dt_max=0.1)
+    traj = simulate(f0, -1.0, t_final, snapshot_stride=2, dt_max=0.1)
     rep = moser_report(traj, 6, 4.0)
     es = [row["E_n"] for row in rep["rows"]]
     sup = rep["limit_cylinder_sup"]
@@ -378,7 +378,7 @@ def gate_reproducibility(n=24):
     f0 = squeezed_gaussian(grid, 0.5, 0.5)
 
     def run_once():
-        traj = simulate(f0, -1.0, 0.2, scheme="imex", snapshot_stride=2)
+        traj = simulate(f0, -1.0, 0.2, snapshot_stride=2)
         blob = b"".join(np.ascontiguousarray(s.values).tobytes() for s in traj.snapshots)
         rows = tuple(tuple(r.as_list()) for r in traj.ledger)
         return blob, rows

@@ -10,9 +10,7 @@ family costs one cumulative-sum pass plus O(1) per cube.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +49,6 @@ class WeightReport:
             "excluded_cubes": self.excluded_cubes,
             "clipped": self.clipped,
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def per_cube_csv(self, path, cubes: CubeSet):
-        if self.per_cube is None:
-            raise ValueError("report carries no per-cube values")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cube_index", "level", "side", "value"])
-            for k, (cube, val) in enumerate(zip(cubes.cubes, self.per_cube)):
-                writer.writerow([k, cube.level, repr(cube.side(cubes.grid)), repr(float(val))])
 
 
 class BoxSums:

@@ -182,7 +182,7 @@ def test_criterion_8_coulomb_conditional():
     f0 = squeezed_gaussian(grid, 0.2, 0.5)
     dbl = doubling_constant(f0, radii=(0.25, 0.5, 1.0))
     traj = simulate(
-        f0, -3.0, 2.5, scheme="imex", snapshot_stride=1, t_ramp=0.3, dt_max=0.1
+        f0, -3.0, 2.5, snapshot_stride=1, t_ramp=0.3, dt_max=0.1
     )
     fit = fit_decay(
         traj,

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -32,14 +31,34 @@ def write_config(tmp_path, cfg, name="run.json"):
 
 
 def test_parse_config_reports_all_problems():
+    for scheme in ("bogus", "explicit"):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config({"grid": {"dim": 3}, "scheme": scheme})
+        msg = str(err.value)
+        assert "gamma" in msg
+        assert "t_final" in msg
+        assert "half_extent" in msg
+        assert "scheme" in msg
+        assert "initial_profile" in msg
+
+
+def test_parse_config_rejects_bad_step_settings():
+    cfg = minimal_config(
+        t_final=float("nan"), snapshot_stride=0, dt={"dt_max": "abc", "fixed": 0, "t_ramp": float("nan")}
+    )
     with pytest.raises(ConfigError) as err:
-        cli.parse_config({"grid": {"dim": 3}, "scheme": "bogus"})
-    msg = str(err.value)
-    assert "gamma" in msg
-    assert "t_final" in msg
-    assert "half_extent" in msg
-    assert "scheme" in msg
-    assert "initial_profile" in msg
+        cli.parse_config(cfg)
+    problems = err.value.problems
+    assert len(problems) == 5
+    assert any("'t_final'" in p for p in problems)
+    assert any("'dt.dt_max'" in p and "invalid value" in p for p in problems)
+    assert any("'dt.fixed'" in p and "> 0" in p for p in problems)
+    assert any("'dt.t_ramp'" in p and "> 0" in p for p in problems)
+    assert any("'snapshot_stride'" in p for p in problems)
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(minimal_config(dt="fast"))
+    assert err.value.problems == ["field 'dt' must be a table, got 'fast'"]
+    assert cli.parse_config(minimal_config(dt={"dt_max": 0.1}))["dt_max"] == 0.1
 
 
 def test_parse_config_gamma_range():
@@ -202,7 +221,9 @@ def test_no_unused_imports():
     import landau_lab
 
     unused = []
-    for path in sorted(pathlib.Path(landau_lab.__file__).parent.glob("*.py")):
+    sources = sorted(pathlib.Path(landau_lab.__file__).parent.glob("*.py"))
+    sources += sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    for path in sources:
         tree = ast.parse(path.read_text())
         imported = {}
         for node in ast.walk(tree):
@@ -210,9 +231,9 @@ def test_no_unused_imports():
                 for alias in node.names:
                     imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        if path.name == "__init__.py":
+        if path.name == "__init__.py" and path.parent.name == "landau_lab":
             used |= set(landau_lab.__all__)  # re-exports
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
 
 

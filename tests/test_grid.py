@@ -15,7 +15,6 @@ from landau_lab.errors import (
 )
 from landau_lab.grid import (
     Ball,
-    Cube,
     ScalarField,
     counterexample_profile,
     cube_average,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landau_lab.errors import GridError
-from landau_lab.grid import ScalarField, make_grid, maxwellian, squeezed_gaussian
+from landau_lab.grid import ScalarField, make_grid, squeezed_gaussian
 from landau_lab.rates import (
     fit_decay,
     linf_history,
@@ -14,14 +14,14 @@ from landau_lab.solver import simulate
 
 @pytest.fixture(scope="module")
 def stationary_traj(maxwellian16):
-    return simulate(maxwellian16, 0.0, 1.0, scheme="imex", snapshot_stride=1, dt_max=0.05)
+    return simulate(maxwellian16, 0.0, 1.0, snapshot_stride=1, dt_max=0.05)
 
 
 @pytest.fixture(scope="module")
 def relaxing_traj():
     g = make_grid(3, 4.0, 24)
     f0 = squeezed_gaussian(g, 0.25, 0.5)
-    return simulate(f0, 0.0, 2.0, scheme="imex", snapshot_stride=1, t_ramp=0.3, dt_max=0.1)
+    return simulate(f0, 0.0, 2.0, snapshot_stride=1, t_ramp=0.3, dt_max=0.1)
 
 
 def test_linf_history_basics(stationary_traj, maxwellian16):
@@ -36,7 +36,7 @@ def test_linf_history_basics(stationary_traj, maxwellian16):
 
 
 def test_linf_history_zero_field(grid16):
-    from landau_lab.solver import LedgerRow, Trajectory
+    from landau_lab.solver import Trajectory
 
     zero = ScalarField(grid16, np.zeros(grid16.shape))
     traj = Trajectory(0.0, grid16, [0.0, 1.0], [zero, zero], [])
@@ -85,7 +85,7 @@ def test_moser_schedule_values():
 
 def test_moser_report_monotone_cutoffs(grid16):
     f0 = squeezed_gaussian(grid16, 0.6, 0.5)
-    traj = simulate(f0, -1.0, 0.6, scheme="imex", snapshot_stride=2, dt_max=0.1)
+    traj = simulate(f0, -1.0, 0.6, snapshot_stride=2, dt_max=0.1)
     rep_small = moser_report(traj, 3, 3.0)
     rep_big = moser_report(traj, 3, 5.0)
     for row_s, row_b in zip(rep_small["rows"], rep_big["rows"]):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landau_lab import coefficients as co
-from landau_lab.errors import EmptyRegionError, WeightPositivityError
+from landau_lab.errors import WeightPositivityError
 from landau_lab.grid import (
     ScalarField,
     make_dyadic_cubes,
@@ -10,6 +10,7 @@ from landau_lab.grid import (
     maxwellian,
     random_density,
 )
+from landau_lab.report import write_json
 from landau_lab.weights import (
     a1_constant,
     ap_constant,
@@ -175,8 +176,6 @@ def test_morrey_ratio_side_scaling_moderately_soft():
     cubes = make_dyadic_cubes(g, 4.0, 2)
     vals = morrey_ratio_family(b.h, b.a_star, cubes, s=1.2)
     sides = np.array([c.side(g) for c in cubes.cubes])
-    import math
-
     logs = {}
     for s_val in np.unique(sides):
         logs[s_val] = np.max(vals[sides == s_val])
@@ -212,12 +211,9 @@ def test_reverse_holder_jensen_below_one(grid16, cubes16, rng):
 def test_weight_report_serialization(tmp_path, grid16, cubes16):
     ones = ScalarField(grid16, np.ones(grid16.shape))
     rep = ap_constant(ones, 2.0, cubes16)
-    rep.to_json(tmp_path / "w.json")
+    write_json(tmp_path / "w.json", rep)
     import json
 
     loaded = json.loads((tmp_path / "w.json").read_text())
     assert loaded["constant_name"] == "Ap"
     assert loaded["value"] == pytest.approx(1.0)
-    rep.per_cube_csv(tmp_path / "w.csv", cubes16)
-    lines = (tmp_path / "w.csv").read_text().splitlines()
-    assert len(lines) == len(cubes16) + 1
