@@ -36,6 +36,13 @@ from .solver import LedgerRow, Trajectory, simulate
 PROFILE_KINDS = ("maxwellian", "squeezed_gaussian", "counterexample", "shell", "file")
 
 
+def _integer(value) -> int:
+    """int(value), refusing a bool and a number with a fractional part instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def parse_config(raw: dict) -> dict:
     """Validate a run configuration, accumulating every offending field."""
     problems: list[str] = []
@@ -56,18 +63,18 @@ def parse_config(raw: dict) -> dict:
             problems.append(f"field {path!r} has invalid value {node[leaf]!r}")
             return default
 
-    cfg["dim"] = need("grid.dim", int)
+    cfg["dim"] = need("grid.dim", _integer)
     cfg["half_extent"] = need("grid.half_extent", float)
-    cfg["points_per_axis"] = need("grid.points_per_axis", int)
+    cfg["points_per_axis"] = need("grid.points_per_axis", _integer)
     cfg["gamma"] = need("gamma", float)
     cfg["scheme"] = need("scheme", str, default="imex", required=False)
     if cfg["scheme"] != "imex":
         problems.append(f"field 'scheme' must be imex, got {cfg['scheme']!r}")
     cfg["t_final"] = need("t_final", float)
-    cfg["snapshot_stride"] = need("snapshot_stride", int, default=1, required=False)
+    cfg["snapshot_stride"] = need("snapshot_stride", _integer, default=1, required=False)
     if cfg["snapshot_stride"] < 1:
         problems.append(f"field 'snapshot_stride' must be >= 1, got {cfg['snapshot_stride']}")
-    cfg["seed"] = need("seed", int, default=0, required=False)
+    cfg["seed"] = need("seed", _integer, default=0, required=False)
     if not isinstance(raw.get("dt", {}), dict):
         problems.append(f"field 'dt' must be a table, got {raw['dt']!r}")
     for key, path, default in (
@@ -402,7 +409,11 @@ def main(argv=None) -> int:
     threads = args.threads
     if threads is None:
         env = os.environ.get("LANDAU_LAB_THREADS")
-        threads = int(env) if env else 1
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            print(f"error: LANDAU_LAB_THREADS must be an integer, got {env!r}", file=sys.stderr)
+            return 2
     coeff.set_fft_workers(threads)
 
     try:

@@ -28,9 +28,15 @@ has -Delta a = h for gamma > -2 (the sign of Delta |z|^(2+gamma) flips at
 gamma = -2), while at gamma = -d the distributional Laplacian of the kernel
 gives the factor d-2, which is again -(2+gamma).
 
-Convolutions are linear (zero-padded) FFT convolutions; the offset-zero cell
-of each kernel carries its analytic average over the cell, reducing the
-matrix-kernel cell averages to the scalar one by parity.
+Convolutions are linear FFT convolutions on a box of P >= 2N-1 points per
+axis; the offset-zero cell of each kernel carries its analytic average over
+the cell, reducing the matrix-kernel cell averages to the scalar one by
+parity.  Each kernel table is wrapped, offset k at index k mod P, so it is
+exactly even or odd in every axis: the rfftn of h, a and the A_ij is real and
+that of the D_i imaginary, and a plan stores only that real or imaginary part
+as a float64 half-spectrum.  f fills [0, N)^3 of the box, so the forward
+transform runs only over its nonzero lines, and each inverse transform keeps
+only the N output lines it needs on every axis: the result is [0, N)^3.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import EigenSolveError, GammaRangeError, GridError, NonNegativityError
+from .errors import EigenSolveError, GammaRangeError, GridError, MemoryCapError, NonNegativityError
 from .grid import ScalarField, VelocityGrid
 
 _DEF_WORKERS = 1
@@ -151,17 +157,6 @@ def matrix_component_pairs(dim: int) -> list[tuple[int, int]]:
     return _COMPONENT_PAIRS
 
 
-def _offset_coords(grid: VelocityGrid) -> tuple[np.ndarray, ...]:
-    n = grid.points_per_axis
-    z1 = np.arange(-(n - 1), n) * grid.spacing
-    out = []
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = z1.size
-        out.append(z1.reshape(shape))
-    return tuple(out)
-
-
 def kernel_point_values(
     spacing: float,
     gamma: float,
@@ -216,65 +211,90 @@ def kernel_point_values(
 
 
 # ---------------------------------------------------------------------------
-# FFT convolution engine with a small plan cache
+# FFT convolution engine with a byte-bounded plan cache
 # ---------------------------------------------------------------------------
+
+_PLAN_BYTE_BUDGET = 2**30  # bytes of kernel spectra the plan cache may hold
 
 
 class _ConvPlan:
     def __init__(self, grid: VelocityGrid, gamma: float):
         self.grid = grid
         self.gamma = gamma
-        n = grid.points_per_axis
-        self.pad = tuple(sfft.next_fast_len(2 * n - 1) for _ in range(grid.dim))
+        self.pad = sfft.next_fast_len(2 * grid.points_per_axis - 1)
+        self.spectrum_bytes = self.pad * self.pad * (self.pad // 2 + 1) * 8
         self.kernel_ffts: dict[str, np.ndarray] = {}
 
+    def nbytes(self) -> int:
+        return sum(s.nbytes for s in self.kernel_ffts.values())
+
     def kernel_fft(self, kind: str) -> np.ndarray:
+        """Real part (even kernels) or imaginary part ('Di', odd) of the wrapped table's rfftn."""
         if kind not in self.kernel_ffts:
-            coords = _offset_coords(self.grid)
+            n, P = self.grid.points_per_axis, self.pad
+            k = np.r_[0:n, 1 - n : 0]  # offset k sits at index k mod P
+            z1 = k * self.grid.spacing
+            coords = np.ix_(z1, z1, z1)
             r2 = sum(c**2 for c in coords)
             table = kernel_point_values(self.grid.spacing, self.gamma, kind, coords, r2)
-            del r2  # one table-sized array fewer while the padded transform runs
-            buf = np.zeros(self.pad)
-            buf[tuple(slice(0, s) for s in table.shape)] = table
-            self.kernel_ffts[kind] = sfft.rfftn(buf, workers=_DEF_WORKERS)
+            del r2  # one table-sized array fewer while the transform runs
+            buf = np.zeros((P, P, P))
+            buf[np.ix_(k % P, k % P, k % P)] = table
+            spec = sfft.rfftn(buf, workers=_DEF_WORKERS)
+            part = spec.imag if kind.startswith("D") else spec.real
+            self.kernel_ffts[kind] = np.ascontiguousarray(part)
         return self.kernel_ffts[kind]
 
 
 _plan_cache: "OrderedDict[tuple, _ConvPlan]" = OrderedDict()
-_PLAN_CACHE_SIZE = 4
 
 
-def _get_plan(grid: VelocityGrid, gamma: float) -> _ConvPlan:
+def _get_plan(grid: VelocityGrid, gamma: float, kinds: list[str]) -> _ConvPlan:
+    """The (grid, gamma) plan, with least-recently-used plans evicted until its spectra fit."""
     key = (grid.key(), round(gamma, 12))
-    plan = _plan_cache.get(key)
-    if plan is None:
-        plan = _ConvPlan(grid, gamma)
-        _plan_cache[key] = plan
-        while len(_plan_cache) > _PLAN_CACHE_SIZE:
-            _plan_cache.popitem(last=False)
-    else:
-        _plan_cache.move_to_end(key)
+    plan = _plan_cache.get(key) or _ConvPlan(grid, gamma)
+    need = plan.spectrum_bytes * len(plan.kernel_ffts.keys() | set(kinds))
+    if need > _PLAN_BYTE_BUDGET:
+        raise MemoryCapError(
+            f"kernel spectra for N={grid.points_per_axis}, gamma={gamma} need {need} bytes, "
+            f"over the plan cache budget of {_PLAN_BYTE_BUDGET} bytes"
+        )
+    _plan_cache.pop(key, None)
+    while need + sum(p.nbytes() for p in _plan_cache.values()) > _PLAN_BYTE_BUDGET:
+        _plan_cache.popitem(last=False)
+    _plan_cache[key] = plan
     return plan
 
 
 def fft_convolve(f: ScalarField, gamma: float, kinds: list[str]) -> list[np.ndarray]:
     """
-    Zero-padded linear convolutions of ``f`` with the requested kernel tables,
-    sharing one forward transform.  Results include the quadrature weight
-    spacing^d but no normalization constant.
+    Linear convolutions of ``f`` with the requested kernel tables, sharing one
+    forward transform.  Results include the quadrature weight spacing^d but no
+    normalization constant.
     """
     grid = f.grid
-    plan = _get_plan(grid, gamma)
-    n = grid.points_per_axis
-    buf = np.zeros(plan.pad)
-    buf[tuple(slice(0, n) for _ in range(grid.dim))] = f.values
-    fhat = sfft.rfftn(buf, workers=_DEF_WORKERS)
+    plan = _get_plan(grid, gamma, kinds)
+    n, P = grid.points_per_axis, plan.pad
+    # f fills [0, n)^3 of the P^3 box: transform only its nonzero lines
+    fhat = sfft.rfft(f.values, P, axis=2, workers=_DEF_WORKERS)
+    fhat = sfft.fft(fhat, P, axis=0, workers=_DEF_WORKERS)
+    fhat = sfft.fft(fhat, P, axis=1, workers=_DEF_WORKERS)
+    ifhat = None
+    prod = np.empty_like(fhat)  # reused by every kind; the inverse passes overwrite it
     w = grid.spacing**grid.dim
     out = []
-    sl = tuple(slice(n - 1, 2 * n - 1) for _ in range(grid.dim))
     for kind in kinds:
-        conv = sfft.irfftn(plan.kernel_fft(kind) * fhat, plan.pad, workers=_DEF_WORKERS)
-        out.append(w * conv[sl])
+        if kind.startswith("D"):
+            if ifhat is None:
+                ifhat = 1j * fhat
+            np.multiply(ifhat, plan.kernel_fft(kind), out=prod)
+        else:
+            np.multiply(fhat, plan.kernel_fft(kind), out=prod)
+        # keep only the n output lines of each inverse pass
+        conv = sfft.ifft(prod, axis=0, overwrite_x=True, workers=_DEF_WORKERS)[:n]
+        conv = sfft.ifft(conv, axis=1, overwrite_x=True, workers=_DEF_WORKERS)[:, :n]
+        conv = sfft.irfft(conv, P, axis=2, workers=_DEF_WORKERS)[:, :, :n]
+        out.append(w * conv)
     return out
 
 

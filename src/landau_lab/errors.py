@@ -12,7 +12,7 @@ class GridError(LandauLabError, ValueError):
 
 
 class MemoryCapError(GridError):
-    """Requested lattice exceeds the configured node cap."""
+    """Requested lattice exceeds the node cap, or its kernel spectra the plan cache byte budget."""
 
 
 class EmptyRegionError(LandauLabError, ValueError):

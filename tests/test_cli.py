@@ -61,6 +61,33 @@ def test_parse_config_rejects_bad_step_settings():
     assert cli.parse_config(minimal_config(dt={"dt_max": 0.1}))["dt_max"] == 0.1
 
 
+def test_parse_config_rejects_non_integers():
+    cfg = minimal_config(
+        grid={"dim": True, "half_extent": 8.0, "points_per_axis": 16.9}, snapshot_stride=2.7, seed=1.5
+    )
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(cfg)
+    assert err.value.problems == [
+        "field 'grid.dim' has invalid value True",
+        "field 'grid.points_per_axis' has invalid value 16.9",
+        "field 'snapshot_stride' has invalid value 2.7",
+        "field 'seed' has invalid value 1.5",
+    ]
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(minimal_config(seed=False, snapshot_stride=float("inf")))
+    assert len(err.value.problems) == 2
+    ok = cli.parse_config(minimal_config(grid={"dim": 3.0, "half_extent": 8.0, "points_per_axis": 12.0}))
+    assert (ok["dim"], ok["points_per_axis"]) == (3, 12)
+    assert type(ok["points_per_axis"]) is int
+
+
+def test_bad_thread_variable_is_a_clean_error(monkeypatch, capsys):
+    monkeypatch.setenv("LANDAU_LAB_THREADS", "abc")
+    assert cli.main(["verify", "--suite", "quick"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "LANDAU_LAB_THREADS" in err and "'abc'" in err
+
+
 def test_parse_config_gamma_range():
     cfg = minimal_config(gamma=-5.0)
     with pytest.raises(ConfigError) as err:

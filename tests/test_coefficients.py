@@ -1,12 +1,13 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 from landau_lab import coefficients as co
-from landau_lab.errors import GammaRangeError, GridError, NonNegativityError
-from landau_lab.grid import ScalarField, make_grid, maxwellian
+from landau_lab.errors import GammaRangeError, GridError, MemoryCapError, NonNegativityError
+from landau_lab.grid import ScalarField, make_grid, maxwellian, random_density
 
 ALL_KINDS = ["h", "a", "A00", "A01", "A02", "A11", "A12", "A22", "D0", "D1", "D2"]
 
@@ -60,15 +61,71 @@ def test_coefficients_require_three_dimensions(dim):
         co.h_field(f, -float(dim))  # the identity branch too
 
 
-@pytest.mark.parametrize("gamma", [-1.0, -2.5])
+@pytest.mark.parametrize("gamma", [-1.0, -2.5, 0.0])
 def test_fast_matches_direct_summation(gamma):
-    grid = make_grid(3, 2.0, 8)
+    # pad = 2n - 1 at n = 8; pads 20 and 24 at n = 10 and 12 leave a zero gap
+    # between the wrapped kernel's positive and negative offsets
+    for n in (8, 10, 12):
+        grid = make_grid(3, 2.0, n)
+        f = maxwellian(grid)
+        fast = co.fft_convolve(f, gamma, ALL_KINDS)
+        direct = co.direct_convolve_many(f, gamma, ALL_KINDS)
+        for fa, di, kind in zip(fast, direct, ALL_KINDS):
+            scale = max(np.max(np.abs(di)), 1e-300)
+            assert np.max(np.abs(fa - di)) / scale < 1e-9, (n, kind)
+
+
+def test_fft_results_identical_for_any_worker_count(monkeypatch, rng):
+    f = random_density(make_grid(3, 4.0, 16), rng)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(co, "_plan_cache", OrderedDict())
+        monkeypatch.setattr(co, "_DEF_WORKERS", workers)
+        runs.append(co.fft_convolve(f, -1.0, ALL_KINDS))
+    for one, two, kind in zip(*runs, ALL_KINDS):
+        assert np.array_equal(one, two), kind
+
+
+def test_cached_spectra_are_real_half_spectra(monkeypatch, maxwellian16):
+    monkeypatch.setattr(co, "_plan_cache", OrderedDict())
+    co.fft_convolve(maxwellian16, -1.0, ALL_KINDS)
+    (plan,) = co._plan_cache.values()
+    P = plan.pad
+    assert sorted(plan.kernel_ffts) == sorted(ALL_KINDS)
+    for kind, spec in plan.kernel_ffts.items():
+        assert spec.dtype == np.float64, kind
+        assert spec.shape == (P, P, P // 2 + 1), kind
+        assert spec.flags.c_contiguous, kind
+
+
+def test_plan_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(co, "_plan_cache", OrderedDict())
+    grid = make_grid(3, 2.0, 6)  # pad 11: 11 * 11 * 6 * 8 = 5808 bytes per spectrum
     f = maxwellian(grid)
-    fast = co.fft_convolve(f, gamma, ALL_KINDS)
-    direct = co.direct_convolve_many(f, gamma, ALL_KINDS)
-    for fa, di, kind in zip(fast, direct, ALL_KINDS):
-        scale = max(np.max(np.abs(di)), 1e-300)
-        assert np.max(np.abs(fa - di)) / scale < 1e-9, kind
+    per_plan = 2 * 5808
+    monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 2 * per_plan)
+    for gamma in (-1.0, -2.0):
+        co.fft_convolve(f, gamma, ["h", "a"])
+    co.fft_convolve(f, -1.0, ["h"])  # -1 becomes the most recently used
+    co.fft_convolve(f, -0.5, ["h", "a"])
+    assert [key[1] for key in co._plan_cache] == [-1.0, -0.5]
+    assert sum(p.nbytes() for p in co._plan_cache.values()) == 2 * per_plan
+    # a plan that grows past the room left evicts the other one
+    co.fft_convolve(f, -0.5, ["D0"])
+    assert [key[1] for key in co._plan_cache] == [-0.5]
+
+
+def test_plan_over_budget_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(co, "_plan_cache", OrderedDict())
+    monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 10_000)
+    f = maxwellian(make_grid(3, 2.0, 6))
+    co.fft_convolve(f, -1.0, ["h"])  # 5808 bytes fit
+    with pytest.raises(MemoryCapError) as err:
+        co.fft_convolve(f, -1.0, ["h", "a"])
+    assert "11616 bytes" in str(err.value) and "10000 bytes" in str(err.value)
+    with pytest.raises(MemoryCapError):
+        co.build_coefficients(maxwellian(make_grid(3, 2.0, 64)), -1.0)
+    assert [list(p.kernel_ffts) for p in co._plan_cache.values()] == [["h"]]
 
 
 def test_h_field_branches(grid16, maxwellian16):
@@ -150,8 +207,6 @@ def test_maxwellian_gamma0_isotropic_at_origin(grid16, maxwellian16):
 
 
 def test_psd_and_linearity(grid16, maxwellian16, rng):
-    from landau_lab.grid import random_density
-
     g = random_density(grid16, rng)
     bundle_f = co.build_coefficients(maxwellian16, -1.0).A
     bundle_g = co.build_coefficients(g, -1.0).A
