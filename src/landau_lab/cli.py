@@ -65,6 +65,8 @@ def parse_config(raw: dict) -> dict:
 
     cfg["dim"] = need("grid.dim", _integer)
     cfg["half_extent"] = need("grid.half_extent", float)
+    if cfg["half_extent"] is not None and not 0 < cfg["half_extent"] < np.inf:
+        problems.append(f"field 'grid.half_extent' must be finite and > 0, got {cfg['half_extent']}")
     cfg["points_per_axis"] = need("grid.points_per_axis", _integer)
     cfg["gamma"] = need("gamma", float)
     cfg["scheme"] = need("scheme", str, default="imex", required=False)

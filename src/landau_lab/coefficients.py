@@ -41,6 +41,7 @@ only the N output lines it needs on every axis: the result is [0, N)^3.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -400,13 +401,17 @@ def _eig3_sym_minmax(A: MatrixField) -> tuple[np.ndarray, np.ndarray]:
     return lam_min, lam_max
 
 
-def eigenvalue_range(A: MatrixField) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) per node, in closed form."""
+def _require_finite(A: MatrixField) -> None:
     if not np.all(np.isfinite(A.comps)):
         bad = np.argwhere(~np.isfinite(A.comps))[0]
         raise EigenSolveError(
             f"non-finite matrix entry at node {tuple(bad[1:])}", node=tuple(bad[1:])
         )
+
+
+def eigenvalue_range(A: MatrixField) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max) per node, in closed form."""
+    _require_finite(A)
     return _eig3_sym_minmax(A)
 
 
@@ -458,7 +463,6 @@ class CoefficientBundle:
     f: ScalarField
     h: ScalarField
     a: ScalarField
-    a_star: ScalarField
     A: MatrixField
     grad_a: list[ScalarField]
     drift: list[ScalarField]
@@ -468,9 +472,14 @@ class CoefficientBundle:
     def grid(self) -> VelocityGrid:
         return self.f.grid
 
+    @functools.cached_property
+    def a_star(self) -> ScalarField:
+        """Smallest eigenvalue of A per node, computed on first read (the stepper never reads it)."""
+        return a_star_field(self.A)
+
 
 def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
-    """Compute h, a, A, a*, grad a and the drift for one density."""
+    """Compute h, a, A, grad a and the drift for one density; a* follows on first read."""
     g = _check_gamma(f.grid.dim, gamma)
     f.require_density("density")
     consts = kernel_constants(f.grid.dim, g)
@@ -489,9 +498,9 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
         h = f.copy()
     else:
         h = ScalarField(f.grid, consts["c_h"] * convs[-1])
+    _require_finite(A)
     a = ScalarField(f.grid, A.trace())
-    a_star = a_star_field(A)
-    return CoefficientBundle(g, f, h, a, a_star, A, grad_a, drift, consts)
+    return CoefficientBundle(g, f, h, a, A, grad_a, drift, consts)
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:

@@ -41,7 +41,7 @@ class VelocityGrid:
     dim : int
         Spatial dimension d >= 1.
     half_extent : float
-        Domain half width L > 0.
+        Finite domain half width L > 0.
     points_per_axis : int
         Even node count N >= 4 per axis.
     """
@@ -53,8 +53,8 @@ class VelocityGrid:
     def __post_init__(self):
         if self.dim < 1:
             raise GridError(f"dim must be >= 1, got {self.dim}")
-        if self.half_extent <= 0:
-            raise GridError(f"half_extent must be > 0, got {self.half_extent}")
+        if not 0 < self.half_extent < np.inf:  # NaN compares false both ways
+            raise GridError(f"half_extent must be finite and > 0, got {self.half_extent}")
         n = self.points_per_axis
         if n < 4 or n % 2 != 0:
             raise GridError(f"points_per_axis must be even and >= 4, got {n}")

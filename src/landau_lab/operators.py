@@ -257,16 +257,16 @@ class DiffusionOperator:
                 acc += float(np.sum(aij * (gxp[i] * gyp[j] + gxm[i] * gym[j])))
         return 0.5 * acc * self.spacing**self.dim
 
-    def matrix(self) -> sparse.csr_matrix:
+    def matrix(self) -> sparse.dia_matrix:
         """
-        The operator assembled as a CSR matrix from its closed-form stencil.
-        The base-corner gradient of a cell couples its base node c with
-        c+e_i, and c+e_i with c+e_j; the far-corner gradient does the same
-        around the far node.  A node therefore couples to itself, to its
+        The operator assembled in diagonal storage from its closed-form
+        stencil.  The base-corner gradient of a cell couples its base node c
+        with c+e_i, and c+e_i with c+e_j; the far-corner gradient does the
+        same around the far node.  A node therefore couples to itself, to its
         neighbours at +-e_i and to those at +-(e_i - e_j): 1 + d + d^2
-        entries per row, each a sum of cell-averaged components read at
-        shifted cells.  Dirichlet couplings to the ghost layer are dropped,
-        as are exact zeros.
+        diagonals, each a sum of cell-averaged components read at shifted
+        cells.  Couplings that leave the lattice (Dirichlet ghost layer
+        included) are stored as zeros.
         """
         d, h = self.dim, self.spacing
         n = self.grid.points_per_axis
@@ -303,20 +303,32 @@ class DiffusionOperator:
         size = self.grid.n_nodes
         strides = [n ** (d - 1 - ax) for ax in range(d)]
         steps = {off: int(np.dot(off, strides)) for off in stencil}  # column minus row
-        offsets = sorted(stencil, key=steps.get)  # so every row lists its columns in order
-        # the entries, one row per node; each weight array is released once copied
-        vals = np.empty((len(offsets), size))
+        offsets = sorted(stencil, key=steps.get)  # a product then sums each row in column order
+        # diagonal k holds A[p, p + step_k] at column p + step_k, which by symmetry is the
+        # weight of the opposite offset at node p + step_k; each weight array is released once copied
+        data = np.empty((len(offsets), size))
         for k, off in enumerate(offsets):
-            vals[k] = stencil.pop(off).ravel()
-        keep = vals.T != 0.0
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        data = vals.T[keep]
-        del vals
-        cols = np.arange(size, dtype=np.int32)[:, None] + np.array([steps[o] for o in offsets], np.int32)
-        mat = sparse.csr_matrix((data, cols[keep], indptr), shape=(size, size))
-        mat.has_sorted_indices = True
-        return mat
+            data[k] = stencil.pop(tuple(-o for o in off)).ravel()
+        return sparse.dia_matrix((data, [steps[o] for o in offsets]), shape=(size, size))
+
+
+def folded_matrix(
+    S: sparse.dia_matrix, c: np.ndarray, s: float, w: np.ndarray | None = None
+) -> sparse.dia_matrix:
+    """
+    diag(w) (diag(c) + s S) diag(w) with the diagonals of ``S`` (a
+    ``DiffusionOperator.matrix()``): the Krylov systems of the implicit step
+    and of the coercivity functional as one matrix each.
+    """
+    data = s * S.data
+    data[np.flatnonzero(S.offsets == 0)[0]] += c
+    if w is not None:
+        size = S.shape[0]
+        for k, step in enumerate(S.offsets):
+            # column j of diagonal k is the entry in row j - step
+            lo, hi = max(step, 0), min(size, size + step)
+            data[k, lo:hi] *= w[lo:hi] * w[lo - step : hi - step]
+    return sparse.dia_matrix((data, S.offsets), shape=S.shape)
 
 
 def _shift(values: np.ndarray, off: tuple[int, ...]) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .coefficients import CoefficientBundle, build_coefficients
 from .errors import IterationError, NonNegativityError
 from .grid import ScalarField
-from .operators import DiffusionOperator, energy_form
+from .operators import DiffusionOperator, energy_form, folded_matrix
 
 
 @dataclass
@@ -60,25 +60,24 @@ def _top_eigenvalue(
 ) -> tuple[float, int, float, np.ndarray]:
     """
     Largest eigenvalue of K = diag(h) + eps * L, or of the pencil (K, W) when
-    a mass weight W is given.  ``S`` is ``diffusion.matrix()``.  The pencil is
-    solved as the standard symmetric problem W^{-1/2} K W^{-1/2}.  Returns the
-    eigenvalue, the operator applies, the relative residual of the Ritz pair
-    recomputed with the matrix-free ``diffusion.apply`` in the original
-    variables, and the eigenvector in the solved variables (a warm start for
-    the next epsilon).
+    a mass weight W is given.  ``S`` is ``diffusion.matrix()``.  K is folded
+    into one matrix with the diagonals of S; the pencil is solved as the
+    standard symmetric problem W^{-1/2} K W^{-1/2}.  Returns the eigenvalue,
+    the operator applies, the relative residual of the Ritz pair recomputed
+    with the matrix-free ``diffusion.apply`` in the original variables, and
+    the eigenvector in the solved variables (a warm start for the next
+    epsilon).
     """
     shape = h.shape
     n = h.size
     hflat = h.ravel()
     s = None if mass_weight is None else 1.0 / np.sqrt(mass_weight.ravel())
+    K = folded_matrix(S, hflat, eps, s)
     counter = {"applies": 0}
 
     def matvec(x):
         counter["applies"] += 1
-        if s is None:
-            return hflat * x + eps * (S @ x)
-        sx = s * x
-        return s * (hflat * sx + eps * (S @ sx))
+        return K @ x
 
     def residual(lam, y):
         phi = y if s is None else s * y

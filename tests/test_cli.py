@@ -81,6 +81,16 @@ def test_parse_config_rejects_non_integers():
     assert type(ok["points_per_axis"]) is int
 
 
+def test_parse_config_rejects_non_finite_half_extent():
+    for bad in (float("nan"), float("inf"), 0.0):
+        cfg = minimal_config(grid={"dim": 3, "half_extent": bad, "points_per_axis": 12}, gamma=-5.0)
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(cfg)
+        problems = err.value.problems
+        assert len(problems) == 2  # reported together with the gamma range
+        assert problems[0] == f"field 'grid.half_extent' must be finite and > 0, got {bad}"
+
+
 def test_bad_thread_variable_is_a_clean_error(monkeypatch, capsys):
     monkeypatch.setenv("LANDAU_LAB_THREADS", "abc")
     assert cli.main(["verify", "--suite", "quick"]) == 2

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from landau_lab import coefficients as co
-from landau_lab.errors import GammaRangeError, GridError, MemoryCapError, NonNegativityError
+from landau_lab.errors import EigenSolveError, GammaRangeError, GridError, MemoryCapError, NonNegativityError
 from landau_lab.grid import ScalarField, make_grid, maxwellian, random_density
 
 ALL_KINDS = ["h", "a", "A00", "A01", "A02", "A11", "A12", "A22", "D0", "D1", "D2"]
@@ -235,6 +235,20 @@ def test_a_star_closed_form_vs_lapack(bundle16_m1):
     lmin = dense[:, 0].reshape(bundle16_m1.grid.shape)
     scale = np.max(dense[:, -1])
     assert np.max(np.abs(lmin - bundle16_m1.a_star.values)) / scale < 1e-12
+
+
+def test_build_rejects_non_finite_matrix_entry(grid16, monkeypatch):
+    real = co.fft_convolve
+
+    def poisoned(f, gamma, kinds):
+        out = real(f, gamma, kinds)
+        out[1][3, 4, 5] = np.nan  # A01
+        return out
+
+    monkeypatch.setattr(co, "fft_convolve", poisoned)
+    with pytest.raises(EigenSolveError) as info:
+        co.build_coefficients(maxwellian(grid16), -1.0)  # before a* is ever read
+    assert info.value.node == (3, 4, 5)
 
 
 def test_a_star_diagonal_matrix():

@@ -53,6 +53,12 @@ def test_odd_or_tiny_n_rejected(n):
         make_grid(3, 8.0, n)
 
 
+@pytest.mark.parametrize("half_extent", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_half_extent_rejected(half_extent):
+    with pytest.raises(GridError, match="half_extent"):
+        make_grid(3, half_extent, 8)
+
+
 def test_memory_cap():
     with pytest.raises(MemoryCapError):
         make_grid(3, 8.0, 64, node_cap=1000)

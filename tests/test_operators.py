@@ -8,6 +8,7 @@ from landau_lab.operators import (
     boundary_drift_flux,
     centered_gradient,
     drift_divergence,
+    folded_matrix,
     second_derivatives,
     smoothstep_cutoff,
 )
@@ -116,9 +117,20 @@ def test_matrix_matches_operator(rng):
             x = rng.normal(size=g.shape)
             ref = L.apply(x).ravel()
             assert np.linalg.norm(S @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
-            assert abs(S - S.T).max() <= 1e-14 * abs(S).max()
-            # centre, +-e_i and +-(e_i - e_j): at most 1 + d + d^2 entries per row
-            assert np.diff(S.indptr).max() <= 1 + g.dim + g.dim**2
+            csr = S.tocsr()
+            assert abs(csr - csr.T).max() <= 1e-14 * abs(csr).max()
+            # centre, +-e_i and +-(e_i - e_j): at most 1 + d + d^2 entries per row and diagonals
+            assert np.diff(csr.indptr).max() <= 1 + g.dim + g.dim**2
+            assert len(S.offsets) <= 1 + g.dim + g.dim**2
+            # the folded Krylov systems diag(v) (diag(c) + s L) diag(v)
+            c = rng.uniform(0.5, 2.0, size=g.n_nodes)
+            for s, v in ((-0.1, None), (0.3, rng.uniform(0.5, 2.0, size=g.n_nodes))):
+                vx = x.ravel() if v is None else v * x.ravel()
+                ref = c * vx + s * L.apply(vx.reshape(g.shape)).ravel()
+                if v is not None:
+                    ref = v * ref
+                got = folded_matrix(S, c, s, v) @ x.ravel()
+                assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_quadratic_form_matches_operator(rng):

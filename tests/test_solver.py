@@ -50,6 +50,14 @@ def test_step_dt_zero_is_identity(maxwellian16):
     assert new.time == 0.0
     assert np.array_equal(new.f.values, maxwellian16.values)
     assert (stats.dt, stats.leak, stats.clipped_mass, stats.negative_nodes) == (0.0, 0.0, 0.0, 0)
+    assert (stats.iterations, stats.residual) == (0, 0.0)
+
+
+def test_step_reports_solve_telemetry(grid16):
+    st = SolverState(squeezed_gaussian(grid16, 0.5, 0.5), 0.0, 0.0, 0)
+    _, stats = step(st, 0.05)
+    assert 0 < stats.iterations
+    assert 0.0 <= stats.residual <= 1e-10
 
 
 def test_maxwellian_stationary_100_steps(grid16):
