@@ -23,6 +23,7 @@ from .errors import ConfigError, LandauLabError, SnapshotFormatError
 from .grid import (
     ScalarField,
     counterexample_profile,
+    make_dyadic_cubes,
     make_grid,
     maxwellian,
     read_field,
@@ -30,8 +31,11 @@ from .grid import (
     squeezed_gaussian,
     write_field,
 )
+from .poincare import verify_eps_poincare
+from .rates import fit_decay, linf_history, moser_report
 from .report import sha256_file, write_csv, write_json
 from .solver import LedgerRow, Trajectory, simulate
+from .weights import a1_constant, ap_constant, doubling_constant, morrey_ratio_family
 
 PROFILE_KINDS = ("maxwellian", "squeezed_gaussian", "counterexample", "shell", "file")
 
@@ -204,8 +208,6 @@ def _run_toggled_diagnostics(traj: Trajectory, cfg: dict, out_dir):
     if diags.get("poincare"):
         _diagnose_poincare(traj.final, traj.gamma, out_dir, params=diags["poincare"])
     if diags.get("rates"):
-        from .rates import fit_decay
-
         params = diags["rates"]
         fit = fit_decay(
             traj,
@@ -214,8 +216,6 @@ def _run_toggled_diagnostics(traj: Trajectory, cfg: dict, out_dir):
         )
         write_json(os.path.join(out_dir, "rate_fit.json"), fit.to_dict())
     if diags.get("moser"):
-        from .rates import moser_report
-
         params = diags["moser"]
         rep = moser_report(traj, int(params.get("n_max", 6)), float(params.get("R", 4.0)))
         write_json(os.path.join(out_dir, "moser.json"), rep)
@@ -223,8 +223,6 @@ def _run_toggled_diagnostics(traj: Trajectory, cfg: dict, out_dir):
 
 def default_cube_family(grid, max_levels: int = 2):
     """Largest lattice-aligned dyadic family with at most ``max_levels`` refinements."""
-    from .grid import make_dyadic_cubes
-
     cells = max(grid.points_per_axis // 8, 2)
     levels = 0
     c = cells
@@ -235,9 +233,6 @@ def default_cube_family(grid, max_levels: int = 2):
 
 
 def _diagnose_weights(f: ScalarField, gamma: float, out_dir, params=None):
-    from .grid import make_dyadic_cubes
-    from .weights import a1_constant, ap_constant, doubling_constant, morrey_ratio_family
-
     params = params if isinstance(params, dict) else {}
     if "base_side" in params or "levels" in params:
         base = float(params.get("base_side", 2.0))
@@ -258,8 +253,6 @@ def _diagnose_weights(f: ScalarField, gamma: float, out_dir, params=None):
 
 
 def _diagnose_poincare(f: ScalarField, gamma: float, out_dir, params=None):
-    from .poincare import verify_eps_poincare
-
     params = params if isinstance(params, dict) else {}
     n_eps = int(params.get("n_epsilons", 8))
     eps = np.logspace(-3, 0, n_eps)
@@ -287,9 +280,7 @@ def _diagnose_poincare(f: ScalarField, gamma: float, out_dir, params=None):
 
 def _diagnose_coefficients(f: ScalarField, gamma: float, out_dir):
     bundle = coeff.build_coefficients(f, gamma)
-    from .coefficients import comparability_report
-
-    rep = comparability_report(f, gamma, bundle)
+    rep = coeff.comparability_report(f, gamma, bundle)
     names = {"h": bundle.h, "a": bundle.a, "a_star": bundle.a_star}
     files = {}
     for name, fld in names.items():
@@ -331,8 +322,6 @@ def cmd_diagnose(target, which: str, out_dir, gamma: float | None = None) -> dic
 
 
 def cmd_rates(run_dir, theorem_id: str, R_list, out_dir) -> list:
-    from .rates import fit_decay, linf_history
-
     os.makedirs(out_dir, exist_ok=True)
     traj = load_trajectory(run_dir)
     if len(traj.snapshots) < 6:

@@ -9,9 +9,10 @@ are midpoint quadrature: spacing^d times a node sum.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,9 +144,6 @@ class Cube:
         lo = np.array(self.anchor, dtype=float) * grid.spacing - grid.half_extent
         return lo + 0.5 * self.n_cells * grid.spacing
 
-    def volume(self, grid: VelocityGrid) -> float:
-        return self.side(grid) ** grid.dim
-
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(a, a + self.n_cells) for a in self.anchor)
 
@@ -158,24 +156,37 @@ class Ball:
     radius: float
 
 
-@dataclass
+@dataclass(eq=False)
 class CubeSet:
-    """Dyadic hierarchy of lattice-aligned cubes.
+    """Dyadic hierarchy of lattice-aligned cubes, stored level by level.
 
     Level-0 cubes tile the whole box with side ``base_side``; level-k cubes
     have side ``base_side / 2**k`` and children tile their parent exactly.
+    ``cells[k]`` is the level-k side in cells and ``anchors[k]`` the
+    read-only ``(K_k, d)`` array of their lowest-index corners, in C order.
+    The family order is level-major: level 0 first.
     """
 
     grid: VelocityGrid
     base_side: float
-    levels: int
-    cubes: list[Cube] = field(default_factory=list)
+    cells: tuple[int, ...]
+    anchors: tuple[np.ndarray, ...]
 
-    def by_level(self, level: int) -> list[Cube]:
-        return [c for c in self.cubes if c.level == level]
+    @property
+    def levels(self) -> int:
+        return len(self.cells) - 1
+
+    @functools.cached_property
+    def cubes(self) -> list[Cube]:
+        """The family as :class:`Cube` objects in family order, built on first read."""
+        return [
+            Cube(tuple(int(a) for a in anchor), m, level)
+            for level, (m, anchors) in enumerate(zip(self.cells, self.anchors))
+            for anchor in anchors
+        ]
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return sum(len(a) for a in self.anchors)
 
 
 def make_grid(
@@ -255,14 +266,15 @@ def make_dyadic_cubes(grid: VelocityGrid, base_side: float, levels: int) -> Cube
             f"level-{levels} cubes would not hold >= 2^d whole cells"
         )
 
-    cubes: list[Cube] = []
-    for level in range(levels + 1):
-        m = cells_int // 2**level
-        anchors = np.arange(0, grid.points_per_axis, m)
-        grids = np.meshgrid(*([anchors] * grid.dim), indexing="ij")
-        for anchor in zip(*(g.ravel() for g in grids)):
-            cubes.append(Cube(tuple(int(a) for a in anchor), m, level))
-    return CubeSet(grid, float(base_side), levels, cubes)
+    level_cells = tuple(cells_int // 2**level for level in range(levels + 1))
+    anchors = []
+    for m in level_cells:
+        axis = np.arange(0, grid.points_per_axis, m)
+        mesh = np.meshgrid(*([axis] * grid.dim), indexing="ij")
+        level_anchors = np.stack([g.ravel() for g in mesh], axis=1)
+        level_anchors.flags.writeable = False
+        anchors.append(level_anchors)
+    return CubeSet(grid, float(base_side), level_cells, tuple(anchors))
 
 
 def moments(f: ScalarField) -> tuple[float, np.ndarray, float]:

@@ -240,23 +240,6 @@ class DiffusionOperator:
             out = out[core]
         return out
 
-    def quadratic_form(self, x: np.ndarray, y: np.ndarray | None = None) -> float:
-        """int (A grad x, grad y) dv (symmetric, PSD for x = y)."""
-        if y is None:
-            y = x
-        if self.bc == "dirichlet":
-            x = np.pad(x, 1)
-            y = np.pad(y, 1)
-        gxp, gxm = self._cell_gradients(x)
-        gyp, gym = self._cell_gradients(y)
-        d = self.dim
-        acc = 0.0
-        for i in range(d):
-            for j in range(d):
-                aij = self._abar_comp(i, j)
-                acc += float(np.sum(aij * (gxp[i] * gyp[j] + gxm[i] * gym[j])))
-        return 0.5 * acc * self.spacing**self.dim
-
     def matrix(self) -> sparse.dia_matrix:
         """
         The operator assembled in diagonal storage from its closed-form

@@ -71,20 +71,19 @@ PREDICTED_EXPONENTS = {
 }
 
 
-def _fit_window(traj: Trajectory, R: float, saturation_factor: float = 2.0):
+def _fit_window(traj: Trajectory, R: float, eq: ScalarField):
     """
     Usable samples of a sup-norm history: drop the scheme transient
-    (t < 2 dt) and the approach to equilibrium (sup within a factor
-    ``saturation_factor`` of the stationary level, where the decay is
-    exponential rather than self-similar).
+    (t < 2 dt) and the approach to equilibrium (sup within a factor 2 of
+    the stationary level, the maximum of ``eq`` over the ball, where the
+    decay is exponential rather than self-similar).
     """
     times, sups = linf_history(traj, R)
     dt0 = traj.ledger[1].time - traj.ledger[0].time if len(traj.ledger) > 1 else 0.0
-    eq = maxwellian(traj.grid)
     mask = traj.grid.radius_squared() <= R**2
     floor = float(np.max(eq.values[mask]))
-    keep = (times > 2.0 * dt0) & (sups > saturation_factor * floor)
-    return times[keep], sups[keep], floor
+    keep = (times > 2.0 * dt0) & (sups > 2.0 * floor)
+    return times[keep], sups[keep]
 
 
 def fit_decay(
@@ -106,7 +105,8 @@ def fit_decay(
     if theorem_id not in PREDICTED_EXPONENTS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     flags = dict(hypothesis_flags or {})
-    times, sups, _ = _fit_window(traj, R)
+    eq = maxwellian(traj.grid)
+    times, sups = _fit_window(traj, R, eq)
     if len(times) < 6:
         # saturated history (e.g. a stationary run): fit the raw curve and flag it
         all_t, all_s = linf_history(traj, R)
@@ -146,7 +146,7 @@ def fit_decay(
         amps = []
         for r in R_sweep:
             try:
-                t_r, s_r, _ = _fit_window(traj, r)
+                t_r, s_r = _fit_window(traj, r, eq)
                 if len(t_r) < 6:
                     continue
                 x_r = np.log1p(1.0 / t_r)

@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
 
+import numpy as np
+
 
 def _default(obj):
-    import numpy as np
-
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -59,8 +60,6 @@ def write_json(path, payload):
 
 
 def write_csv(path, header: list[str], rows):
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

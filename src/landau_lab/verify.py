@@ -23,18 +23,20 @@ import numpy as np
 
 from . import coefficients as co
 from .grid import (
+    Cube,
     counterexample_profile,
     make_dyadic_cubes,
     make_grid,
     maxwellian,
     random_density,
+    shell_profile,
     squeezed_gaussian,
 )
 from .operators import nondivergence_apply
 from .poincare import gks_check, verify_eps_poincare
 from .rates import fit_decay, moser_report
 from .solver import collision_operator, simulate
-from .weights import morrey_ratio_family
+from .weights import morrey_ratio, morrey_ratio_family
 
 DEFAULT_SEED = 20260809
 
@@ -280,9 +282,6 @@ def gate_morrey_sweep(n=32, n_random=20, levels=None, seed=DEFAULT_SEED):
     center = grid.points_per_axis // 2
     floors = []
     for m_cells in (8, 4, 2):
-        from .grid import Cube
-        from .weights import morrey_ratio
-
         anchor = tuple(center - m_cells // 2 for _ in range(3))
         floors.append(morrey_ratio(ch, ca, Cube(anchor, m_cells), s=1.0))
     floor = min(floors)
@@ -313,8 +312,6 @@ def gate_poincare_scaling(n=32):
 
 
 def gate_gks(sizes=(24, 32), seed=DEFAULT_SEED):
-    from .grid import shell_profile
-
     caps = FROZEN["gks_cap"]
     worst_by_n = {}
     for n in sizes:

@@ -71,42 +71,29 @@ class BoxSums:
         return acc
 
 
-def _family_by_level(cubes: CubeSet) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Group the family into (n_cells, anchor array, cube index array) per size."""
-    sizes: dict[int, list[tuple[int, tuple]]] = {}
-    for k, cube in enumerate(cubes.cubes):
-        sizes.setdefault(cube.n_cells, []).append((k, cube.anchor))
-    out = []
-    for m, entries in sorted(sizes.items()):
-        idx = np.array([k for k, _ in entries])
-        anchors = np.array([a for _, a in entries])
-        out.append((m, anchors, idx))
-    return out
-
-
 def cube_family_averages(values: np.ndarray, cubes: CubeSet) -> np.ndarray:
     """Mean of ``values`` over every cube of the family, in family order."""
     sums = BoxSums(values)
     nonneg = bool(np.all(values >= 0))
-    out = np.empty(len(cubes))
-    for m, anchors, idx in _family_by_level(cubes):
+    out = []
+    for m, anchors in zip(cubes.cells, cubes.anchors):
         block = sums.block_sum(anchors, m)
         if nonneg:
             # integral-image cancellation can leave tiny negatives
             block = np.maximum(block, 0.0)
-        out[idx] = block / float(m**values.ndim)
-    return out
+        out.append(block / float(m**values.ndim))
+    return np.concatenate(out)
 
 
 def cube_family_minima(values: np.ndarray, cubes: CubeSet) -> np.ndarray:
     """Minimum of ``values`` over every cube, via separable window minima."""
-    out = np.empty(len(cubes))
-    for m, anchors, idx in _family_by_level(cubes):
+    out = []
+    for m, anchors in zip(cubes.cells, cubes.anchors):
         pooled = values
         for ax in range(values.ndim):
             pooled = np.lib.stride_tricks.sliding_window_view(pooled, m, axis=ax).min(axis=-1)
-        out[idx] = pooled[tuple(anchors[:, ax] for ax in range(values.ndim))]
-    return out
+        out.append(pooled[tuple(anchors.T)])
+    return np.concatenate(out)
 
 
 def _cube_set_summary(cubes: CubeSet) -> dict:
@@ -291,5 +278,7 @@ def morrey_ratio_family(h: ScalarField, w: ScalarField, cubes: CubeSet, s: float
     _check_positive_weight(w)
     avg_hs = cube_family_averages(h.values**s, cubes)
     avg_ws = cube_family_averages(w.values ** (-s), cubes)
-    sides = np.array([c.side(cubes.grid) for c in cubes.cubes])
+    sides = np.concatenate(
+        [np.full(len(a), m * cubes.grid.spacing) for m, a in zip(cubes.cells, cubes.anchors)]
+    )
     return sides * avg_hs ** (1.0 / (2 * s)) * avg_ws ** (1.0 / (2 * s))

@@ -164,8 +164,8 @@ def test_dyadic_counts_and_alignment():
 def test_children_tile_parent(grid16, rng):
     f = ScalarField(grid16, rng.random(grid16.shape))
     cubes = make_dyadic_cubes(grid16, 4.0, 1)
-    parents = cubes.by_level(0)
-    children = cubes.by_level(1)
+    parents = [c for c in cubes.cubes if c.level == 0]
+    children = [c for c in cubes.cubes if c.level == 1]
     parent = parents[3]
     kids = [c for c in children if all(
         parent.anchor[ax] <= c.anchor[ax] < parent.anchor[ax] + parent.n_cells for ax in range(3)

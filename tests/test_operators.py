@@ -133,13 +133,6 @@ def test_matrix_matches_operator(rng):
                 assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-def test_quadratic_form_matches_operator(rng):
-    g, A, _ = _smooth_setup(8)
-    L = DiffusionOperator(A, bc="flux")
-    x = rng.normal(size=g.shape)
-    assert L.quadratic_form(x) == pytest.approx(-np.sum(x * L.apply(x)) * g.spacing**3, rel=1e-12)
-
-
 def test_cell_weight_scales_form(rng):
     g, A, _ = _smooth_setup(8)
     w = np.full((7, 7, 7), 2.0)

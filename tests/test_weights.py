@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from landau_lab import coefficients as co
 from landau_lab.errors import WeightPositivityError
 from landau_lab.grid import (
+    CubeSet,
     ScalarField,
     make_dyadic_cubes,
     make_grid,
@@ -15,6 +18,7 @@ from landau_lab.weights import (
     a1_constant,
     ap_constant,
     cube_family_averages,
+    cube_family_minima,
     doubling_constant,
     morrey_ratio,
     morrey_ratio_family,
@@ -194,12 +198,34 @@ def test_morrey_ratio_errors(grid16, maxwellian16, cubes16):
         morrey_ratio(b.h, b.a, cubes16.cubes[0], s=0.5)
 
 
-def test_cube_family_averages_match_direct(grid16, cubes16, rng):
+def test_cube_family_averages_match_direct(grid16, rng):
+    cubes = make_dyadic_cubes(grid16, 8.0, 2)  # 8 + 64 + 512 cubes of 8, 4 and 2 cells
+    assert len(cubes.cubes) == len(cubes) == 584
+    # level-major, anchors in C order within a level
+    assert [c.level for c in cubes.cubes] == [0] * 8 + [1] * 64 + [2] * 512
+    assert [c.n_cells for c in cubes.cubes] == [8] * 8 + [4] * 64 + [2] * 512
+    assert [c.anchor for c in cubes.cubes[8:72]] == list(itertools.product(range(0, 16, 4), repeat=3))
     vals = rng.random(grid16.shape)
-    fam = cube_family_averages(vals, cubes16)
-    for k in (0, 5, 100, 300):
-        cube = cubes16.cubes[k]
-        assert fam[k] == pytest.approx(float(np.mean(vals[cube.slices()])), rel=1e-12)
+    avg = cube_family_averages(vals, cubes)
+    low = cube_family_minima(vals, cubes)
+    for k in (0, 7, 8, 41, 71, 72, 300, 583):
+        block = vals[cubes.cubes[k].slices()]
+        assert avg[k] == pytest.approx(float(np.mean(block)), rel=1e-12)
+        assert low[k] == np.min(block)
+
+
+def test_weight_functionals_read_only_the_level_arrays(grid16, monkeypatch, rng):
+    cubes = make_dyadic_cubes(grid16, 8.0, 2)
+    w = ScalarField(grid16, 0.1 + rng.random(grid16.shape))
+
+    def no_cube_objects(self):
+        raise AssertionError("weight functionals must not build Cube objects")
+
+    monkeypatch.setattr(CubeSet, "cubes", property(no_cube_objects), raising=False)
+    assert ap_constant(w, 2.0, cubes).per_cube.shape == (584,)
+    assert a1_constant(w, cubes).per_cube.shape == (584,)
+    assert reverse_holder(w, 2.0, cubes).per_cube.shape == (584,)
+    assert morrey_ratio_family(w, w, cubes).shape == (584,)
 
 
 def test_reverse_holder_jensen_below_one(grid16, cubes16, rng):
