@@ -449,6 +449,15 @@ def a_field(f: ScalarField, gamma: float) -> ScalarField:
     return ScalarField(f.grid, consts["c_a"] * conv)
 
 
+def matrix_field(f: ScalarField, gamma: float) -> MatrixField:
+    """Diffusion matrix A alone: the six A kinds of ``build_coefficients``, without h and the drift."""
+    g = _check_gamma(f.grid.dim, gamma)
+    f.require_density("matrix_field input")
+    consts = kernel_constants(f.grid.dim, g)
+    kinds = [f"A{i}{j}" for i, j in matrix_component_pairs(f.grid.dim)]
+    return MatrixField(f.grid, np.stack([consts["C_A"] * c for c in fft_convolve(f, g, kinds)]))
+
+
 def a_star_field(A: MatrixField) -> ScalarField:
     """Smallest eigenvalue of A per node: the exact infimum of (A e, e) over directions."""
     lam_min, _ = eigenvalue_range(A)

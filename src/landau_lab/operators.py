@@ -314,6 +314,14 @@ def folded_matrix(
     return sparse.dia_matrix((data, S.offsets), shape=S.shape)
 
 
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """
+    Inner product of two flat vectors, summed in einsum and never on threaded
+    BLAS, so the Krylov results do not depend on the BLAS thread count.
+    """
+    return float(np.einsum("i,i->", x, y))
+
+
 def _shift(values: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
     """out[p] = values[p + off], zero where p + off leaves the array."""
     out = np.zeros_like(values)

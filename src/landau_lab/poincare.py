@@ -14,16 +14,19 @@ for compact support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coefficients import CoefficientBundle, build_coefficients
 from .errors import IterationError, NonNegativityError
 from .grid import ScalarField
-from .operators import DiffusionOperator, energy_form, folded_matrix
+from .operators import DiffusionOperator, dot, energy_form, folded_matrix
+
+BASIS = 40  # Lanczos vectors per cycle: one (BASIS + 1, n) array
+KEPT = 10  # Ritz pairs kept at each thick restart
 
 
 @dataclass
@@ -67,43 +70,81 @@ def _top_eigenvalue(
     with the matrix-free ``diffusion.apply`` in the original variables, and
     the eigenvector in the solved variables (a warm start for the next
     epsilon).
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000)
+    without reorthogonalization: a cycle grows the basis to ``BASIS``
+    vectors, then keeps the top ``KEPT`` Ritz pairs, and the projected matrix
+    restarts as their Ritz values coupled to the next Lanczos vector (an
+    arrowhead).  A pair is accepted only when its residual, recomputed with
+    K, meets ``tol``, so lost orthogonality can cost applies but cannot pass
+    a wrong pair.  ``maxiter`` caps the restarts.  The reductions run in
+    einsum, never on threaded BLAS, so the result does not depend on the
+    BLAS thread count.
     """
     shape = h.shape
-    n = h.size
     hflat = h.ravel()
     s = None if mass_weight is None else 1.0 / np.sqrt(mass_weight.ravel())
     K = folded_matrix(S, hflat, eps, s)
-    counter = {"applies": 0}
-
-    def matvec(x):
-        counter["applies"] += 1
-        return K @ x
 
     def residual(lam, y):
         phi = y if s is None else s * y
         lhs = hflat * phi + eps * diffusion.apply(phi.reshape(shape)).ravel()
-        rhs = lam * phi if mass_weight is None else lam * mass_weight.ravel() * phi
-        return float(np.linalg.norm(lhs - rhs) / max(abs(lam), 1e-300))
+        r = lhs - (lam * phi if mass_weight is None else lam * mass_weight.ravel() * phi)
+        return math.sqrt(dot(r, r)) / max(abs(lam), 1e-300)
 
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    V = np.empty((BASIS + 1, hflat.size))  # row j is Lanczos vector j
+    T = np.zeros((BASIS, BASIS))  # the projection of K on the basis
+
+    def ritz_vector(coef):
+        y = np.einsum("j,jn->n", coef, V[: coef.size])
+        return y / math.sqrt(dot(y, y))
+
     if v0 is None:
         v0 = 1.0 + hflat / (1.0 + np.max(np.abs(h)))
-    try:
-        vals, vecs = eigsh(op, k=1, which="LA", tol=tol, maxiter=maxiter, v0=v0)
-    except ArpackNoConvergence as exc:
-        if exc.eigenvectors is None or not exc.eigenvectors.size:
-            raise IterationError(
-                f"eigenvalue iteration did not converge: no Ritz pair converged within {maxiter} restarts",
-                residual=float("nan"),
-            ) from exc
-        res = residual(float(exc.eigenvalues[-1]), exc.eigenvectors[:, -1])
-        raise IterationError(
-            f"eigenvalue iteration did not converge within {maxiter} restarts "
-            f"(last Ritz residual {res:.3g})",
-            residual=res,
-        ) from exc
-    lam = float(vals[0])
-    return lam, counter["applies"], residual(lam, vecs[:, 0]), vecs[:, 0]
+    V[0] = v0 / math.sqrt(dot(v0, v0))
+    applies = restarts = 0
+    k = j = 0  # k Ritz vectors kept at the head of the basis; j the vector to expand
+    while True:
+        w = V[j + 1]
+        w[:] = K @ V[j]
+        applies += 1
+        # the first step after a restart couples to every kept vector, later ones to j-1
+        lo = 0 if j == k else j - 1
+        w -= np.einsum("i,in->n", T[j, lo:j], V[lo:j])
+        T[j, j] = alpha = dot(V[j], w)
+        w -= alpha * V[j]
+        beta = math.sqrt(dot(w, w))
+        size = j + 1
+        if size % 5 == 0 or beta == 0.0:
+            theta, u = scipy.linalg.eigh(T[:size, :size])
+            lam = float(theta[-1])
+            estimated = abs(beta * u[-1, -1]) <= tol * abs(lam)
+            if estimated:
+                y = ritz_vector(u[:, -1])
+                r = K @ y - lam * y
+                applies += 1
+                if math.sqrt(dot(r, r)) <= tol * abs(lam):
+                    return lam, applies, residual(lam, y), y
+            if estimated or size == BASIS:
+                if restarts == maxiter:
+                    res = residual(lam, ritz_vector(u[:, -1]))
+                    raise IterationError(
+                        f"eigenvalue iteration did not converge within {maxiter} restarts "
+                        f"(last Ritz residual {res:.3g})",
+                        residual=res,
+                    )
+                restarts += 1
+                k = j = min(KEPT, size - 1)
+                top = u[:, size - k :]
+                V[:k] = np.einsum("ji,jn->in", top, V[:size])
+                V[k] = w / beta
+                T[:] = 0.0
+                T[:k, :k] = np.diag(theta[size - k :])
+                T[k, :k] = T[:k, k] = beta * top[-1]
+                continue
+        w /= beta
+        T[j, j + 1] = T[j + 1, j] = beta
+        j += 1
 
 
 def _as_bundle(f_or_bundle, gamma) -> CoefficientBundle | None:
@@ -242,26 +283,3 @@ def gks_check(f: ScalarField, p: float, bundle: CoefficientBundle | None = None)
     if rhs == 0.0:
         return {"lhs": lhs, "rhs": rhs, "ratio": float("nan"), "degenerate": True}
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "degenerate": False}
-
-
-def dense_top_eigenvalue(bundle: CoefficientBundle, eps: float, mass_weight: np.ndarray | None = None) -> float:
-    """
-    Full dense eigensolve of the coercivity operator, generalized with the
-    mass weight when one is given (oracle for small grids).  Built from
-    ``apply`` columns, independent of the assembled matrix.
-    """
-    grid = bundle.grid
-    n = grid.n_nodes
-    if n > 4096:
-        raise ValueError("dense oracle limited to tiny grids")
-    L = DiffusionOperator(bundle.A, bc="dirichlet")
-    mat = np.zeros((n, n))
-    e = np.zeros(grid.shape)
-    flat = e.ravel()
-    for j in range(n):
-        flat[j] = 1.0
-        mat[:, j] = (bundle.h.values * e + eps * L.apply(e)).ravel()
-        flat[j] = 0.0
-    mass = None if mass_weight is None else np.diag(mass_weight.ravel())
-    w = scipy.linalg.eigh(0.5 * (mat + mat.T), mass, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    return float(w[0])

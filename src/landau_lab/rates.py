@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import build_coefficients
+from .coefficients import a_star_field, matrix_field
 from .errors import GridError, LandauLabError
 from .grid import ScalarField, maxwellian
 from .operators import centered_gradient, smoothstep_cutoff
@@ -217,7 +217,7 @@ def moser_report(traj: Trajectory, n_max: int, R: float, q: float | None = None)
     vol = traj.grid.spacing**d
     astars = {}
     for t, s in zip(traj.times, traj.snapshots):
-        astars[t] = build_coefficients(s, traj.gamma).a_star.values
+        astars[t] = a_star_field(matrix_field(s, traj.gamma)).values
     rows = []
     cut_consts = []
     for entry in sched:

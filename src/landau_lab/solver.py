@@ -29,6 +29,7 @@ from .operators import (
     DiffusionOperator,
     boundary_drift_flux,
     cell_corner_geomean,
+    dot,
     drift_divergence,
     energy_form,
     folded_matrix,
@@ -294,10 +295,6 @@ def _imex_solve(
     mref = split.mref.values.ravel()
     T = folded_matrix(split.matrix, mref, -dt)
     b = rhs.ravel()
-
-    def dot(x, y):
-        return float(np.einsum("i,i->", x, y))
-
     inv_diag = 1.0 / T.diagonal()
     bnorm = math.sqrt(dot(b, b))
     x = b / mref
