@@ -15,14 +15,11 @@ from .coefficients import (
     kernel_constants,
 )
 from .grid import (
-    Ball,
     Cube,
     CubeSet,
     ScalarField,
     VelocityGrid,
     counterexample_profile,
-    cube_average,
-    integrate,
     make_dyadic_cubes,
     make_grid,
     maxwellian,
@@ -47,7 +44,6 @@ from .weights import WeightReport, a1_constant, ap_constant, doubling_constant, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball",
     "CoefficientBundle",
     "Cube",
     "CubeSet",
@@ -66,14 +62,12 @@ __all__ = [
     "build_coefficients",
     "collision_operator",
     "counterexample_profile",
-    "cube_average",
     "doubling_constant",
     "entropy",
     "entropy_production",
     "fit_decay",
     "gks_check",
     "h_field",
-    "integrate",
     "kernel_constants",
     "lambda_curve",
     "linf_history",

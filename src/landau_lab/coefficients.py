@@ -28,7 +28,10 @@ has -Delta a = h for gamma > -2 (the sign of Delta |z|^(2+gamma) flips at
 gamma = -2), while at gamma = -d the distributional Laplacian of the kernel
 gives the factor d-2, which is again -(2+gamma).
 
-Convolutions are linear FFT convolutions on a box of P >= 2N-1 points per
+At gamma = 0 (Maxwell molecules) every kernel is a polynomial of degree at
+most 2 in the offset, so each convolution is computed in closed form from the
+mass, mean and covariance of f, with no transform.  For gamma < 0 the
+convolutions are linear FFT convolutions on a box of P >= 2N-1 points per
 axis; the offset-zero cell of each kernel carries its analytic average over
 the cell, reducing the matrix-kernel cell averages to the scalar one by
 parity.  Each kernel table is wrapped, offset k at index k mod P, so it is
@@ -267,12 +270,74 @@ def _get_plan(grid: VelocityGrid, gamma: float, kinds: list[str]) -> _ConvPlan:
     return plan
 
 
+def _moment_convolve(f: ScalarField, kinds: list[str]) -> list[np.ndarray]:
+    """
+    The gamma = 0 convolutions in closed form.  Every kernel is then a
+    polynomial of degree at most 2 in the offset z, sampled exactly (offset
+    zero included), so each discrete convolution is fixed by the discrete
+    moments of f about a centre u.  With x = v - u, the mass m0, the first
+    moment P and the second moments M about u,
+
+        G_ij = sum_w f(w) z_i z_j = m0 x_i x_j - x_i P_j - x_j P_i + M_ij,
+
+    and h = m0, D_i = m0 x_i - P_i, a = tr G, A = tr(G) I - G.  u is the mean
+    of |f|: for a density it is the mean, so P vanishes up to roundoff and the
+    centred terms are free of the cancellation raw moments suffer at large
+    |v|; for any f it lies inside the box.  Every reduction is an einsum,
+    never threaded BLAS.
+    """
+    grid = f.grid
+    w = grid.spacing**grid.dim
+    axis = grid.axis
+    fabs = np.abs(f.values)
+    u = []
+    for sub in ("ijk->i", "ijk->j", "ijk->k"):
+        m = np.einsum(sub, fabs)
+        total = float(np.einsum("i->", m))
+        u.append(float(np.einsum("i,i->", m, axis)) / total if total else 0.0)
+    y = [axis - c for c in u]  # centred node coordinates along each axis
+    marg2 = {
+        (0, 1): w * np.einsum("ijk->ij", f.values),
+        (0, 2): w * np.einsum("ijk->ik", f.values),
+        (1, 2): w * np.einsum("ijk->jk", f.values),
+    }
+    marg = [np.einsum("ij->i", marg2[0, 1]), np.einsum("ij->j", marg2[0, 1]), np.einsum("ij->j", marg2[0, 2])]
+    m0 = float(np.einsum("i->", marg[0]))
+    P = [float(np.einsum("i,i->", m, yk)) for m, yk in zip(marg, y)]
+    M = {(i, i): float(np.einsum("i,i,i->", marg[i], y[i], y[i])) for i in range(3)}
+    M.update({(i, j): float(np.einsum("ij,i,j->", m, y[i], y[j])) for (i, j), m in marg2.items()})
+    x = [c - uk for c, uk in zip(grid.coords(), u)]  # broadcastable v - u
+    G = {(i, j): m0 * x[i] * x[j] - x[i] * P[j] - x[j] * P[i] + M[i, j] for i, j in _COMPONENT_PAIRS}
+    out = []
+    for kind in kinds:
+        if kind == "h":
+            val = m0
+        elif kind == "a":
+            val = G[0, 0] + G[1, 1] + G[2, 2]
+        elif kind.startswith("A"):
+            i, j = sorted((int(kind[1]), int(kind[2])))
+            val = sum(G[k, k] for k in range(3) if k != i) if i == j else -G[i, j]
+        elif kind.startswith("D"):
+            i = int(kind[1])
+            val = m0 * x[i] - P[i]
+        else:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        conv = np.empty(grid.shape)
+        conv[...] = val
+        out.append(conv)
+    return out
+
+
 def fft_convolve(f: ScalarField, gamma: float, kinds: list[str]) -> list[np.ndarray]:
     """
     Linear convolutions of ``f`` with the requested kernel tables, sharing one
     forward transform.  Results include the quadrature weight spacing^d but no
-    normalization constant.
+    normalization constant.  At gamma = 0 the kernels are polynomials, and the
+    results come in closed form from the moments of f, with no plan and no
+    transform.
     """
+    if gamma == 0.0:
+        return _moment_convolve(f, kinds)
     grid = f.grid
     plan = _get_plan(grid, gamma, kinds)
     n, P = grid.points_per_axis, plan.pad
@@ -348,15 +413,6 @@ class MatrixField:
 
     def trace(self) -> np.ndarray:
         return sum(self.component(i, i) for i in range(self.grid.dim))
-
-    def quadratic_form(self, e: np.ndarray) -> np.ndarray:
-        """(A e, e) per node for a fixed direction e."""
-        e = np.asarray(e, dtype=float)
-        out = np.zeros(self.grid.shape)
-        for i in range(self.grid.dim):
-            for j in range(self.grid.dim):
-                out += self.component(i, j) * e[i] * e[j]
-        return out
 
     def apply(self, vec: list[np.ndarray]) -> list[np.ndarray]:
         """Matrix-vector product per node with a vector of node arrays."""
@@ -466,7 +522,7 @@ def a_star_field(A: MatrixField) -> ScalarField:
 
 @dataclass
 class CoefficientBundle:
-    """All coefficient fields of one (f, gamma) pair, built with one forward FFT."""
+    """All coefficient fields of one (f, gamma) pair, built by one ``fft_convolve`` call."""
 
     gamma: float
     f: ScalarField
@@ -488,7 +544,11 @@ class CoefficientBundle:
 
 
 def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
-    """Compute h, a, A, grad a and the drift for one density; a* follows on first read."""
+    """
+    Compute h, a, A, grad a and the drift for one density from one
+    ``fft_convolve`` call: one forward FFT for gamma < 0, the moments of f at
+    gamma = 0.  a* follows on first read.
+    """
     g = _check_gamma(f.grid.dim, gamma)
     f.require_density("density")
     consts = kernel_constants(f.grid.dim, g)

@@ -148,14 +148,6 @@ class Cube:
         return tuple(slice(a, a + self.n_cells) for a in self.anchor)
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball region; membership is decided by node centers."""
-
-    center: tuple[float, ...]
-    radius: float
-
-
 @dataclass(eq=False)
 class CubeSet:
     """Dyadic hierarchy of lattice-aligned cubes, stored level by level.
@@ -199,46 +191,6 @@ def make_grid(
             f"lattice with {g.n_nodes} nodes exceeds the cap of {node_cap}"
         )
     return g
-
-
-def _region_mask(field_grid: VelocityGrid, region) -> np.ndarray | None:
-    """Boolean node mask for a region; None means the whole grid."""
-    if region == "all" or region is None:
-        return None
-    if isinstance(region, Ball):
-        center = np.asarray(region.center, dtype=float)
-        if center.shape != (field_grid.dim,):
-            raise GridError(f"ball center must have {field_grid.dim} components")
-        r2 = np.zeros(field_grid.shape)
-        for ax, c in enumerate(field_grid.coords()):
-            r2 = r2 + (c - center[ax]) ** 2
-        return r2 <= region.radius**2
-    if isinstance(region, Cube):
-        mask = np.zeros(field_grid.shape, dtype=bool)
-        mask[region.slices()] = True
-        return mask
-    raise GridError(f"unsupported region {region!r}")
-
-
-def integrate(f: ScalarField, region="all") -> float:
-    """Midpoint quadrature of ``f`` over a region (whole box, ball, or cube)."""
-    mask = _region_mask(f.grid, region)
-    w = f.grid.spacing**f.grid.dim
-    if mask is None:
-        return w * float(np.sum(f.values))
-    if not mask.any():
-        raise EmptyRegionError(f"region {region!r} contains no lattice nodes")
-    return w * float(np.sum(f.values[mask]))
-
-
-def cube_average(f: ScalarField, cube: Cube) -> float:
-    """Mean of ``f`` over the cube (the barred integral)."""
-    if cube.n_cells < 1:
-        raise EmptyRegionError("cube contains no cells")
-    block = f.values[cube.slices()]
-    if block.size == 0:
-        raise EmptyRegionError(f"cube {cube} lies outside the grid")
-    return float(np.mean(block))
 
 
 def make_dyadic_cubes(grid: VelocityGrid, base_side: float, levels: int) -> CubeSet:

@@ -75,11 +75,12 @@ def _top_eigenvalue(
     without reorthogonalization: a cycle grows the basis to ``BASIS``
     vectors, then keeps the top ``KEPT`` Ritz pairs, and the projected matrix
     restarts as their Ritz values coupled to the next Lanczos vector (an
-    arrowhead).  A pair is accepted only when its residual, recomputed with
-    K, meets ``tol``, so lost orthogonality can cost applies but cannot pass
-    a wrong pair.  ``maxiter`` caps the restarts.  The reductions run in
-    einsum, never on threaded BLAS, so the result does not depend on the
-    BLAS thread count.
+    arrowhead).  Every 5 steps only the top Ritz pair of the projection is
+    computed; the top ``KEPT`` pairs are computed only at a restart.  A pair
+    is accepted only when its residual, recomputed with K, meets ``tol``, so
+    lost orthogonality can cost applies but cannot pass a wrong pair.
+    ``maxiter`` caps the restarts.  The reductions run in einsum, never on
+    threaded BLAS, so the result does not depend on the BLAS thread count.
     """
     shape = h.shape
     hflat = h.ravel()
@@ -116,7 +117,7 @@ def _top_eigenvalue(
         beta = math.sqrt(dot(w, w))
         size = j + 1
         if size % 5 == 0 or beta == 0.0:
-            theta, u = scipy.linalg.eigh(T[:size, :size])
+            theta, u = scipy.linalg.eigh(T[:size, :size], subset_by_index=[size - 1, size - 1])
             lam = float(theta[-1])
             estimated = abs(beta * u[-1, -1]) <= tol * abs(lam)
             if estimated:
@@ -135,11 +136,11 @@ def _top_eigenvalue(
                     )
                 restarts += 1
                 k = j = min(KEPT, size - 1)
-                top = u[:, size - k :]
+                theta, top = scipy.linalg.eigh(T[:size, :size], subset_by_index=[size - k, size - 1])
                 V[:k] = np.einsum("ji,jn->in", top, V[:size])
                 V[k] = w / beta
                 T[:] = 0.0
-                T[:k, :k] = np.diag(theta[size - k :])
+                T[:k, :k] = np.diag(theta)
                 T[k, :k] = T[:k, k] = beta * top[-1]
                 continue
         w /= beta

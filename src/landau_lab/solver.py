@@ -317,7 +317,8 @@ def _imex_solve(
         rnorm = math.sqrt(dot(r, r))
         iterations += 1
     if rnorm > tol * bnorm:
-        res = float(np.linalg.norm(b - T @ x) / bnorm)
+        r = b - T @ x
+        res = math.sqrt(dot(r, r)) / bnorm
         raise IterationError(
             f"implicit diffusion solve failed after {iterations} iterations (relative residual {res:.3g})",
             residual=res,

@@ -61,18 +61,55 @@ def test_coefficients_require_three_dimensions(dim):
         co.h_field(f, -float(dim))  # the identity branch too
 
 
+def _tilted_gaussian(grid):
+    """Off-centre, anisotropic Gaussian: nonzero mean and off-diagonal covariance."""
+    x = [c - m for c, m in zip(grid.coords(), (0.3, -0.2, 0.1))]
+    Q = np.array([[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.7]])  # inverse covariance
+    return ScalarField(grid, np.exp(-0.5 * sum(Q[i, j] * x[i] * x[j] for i in range(3) for j in range(3))))
+
+
 @pytest.mark.parametrize("gamma", [-1.0, -2.5, 0.0])
 def test_fast_matches_direct_summation(gamma):
     # pad = 2n - 1 at n = 8; pads 20 and 24 at n = 10 and 12 leave a zero gap
-    # between the wrapped kernel's positive and negative offsets
+    # between the wrapped kernel's positive and negative offsets.  At gamma = 0
+    # the moment closed form is exact, and the tilted density exercises its
+    # mean and off-diagonal covariance terms.
+    tol = 1e-12 if gamma == 0.0 else 1e-9
     for n in (8, 10, 12):
         grid = make_grid(3, 2.0, n)
-        f = maxwellian(grid)
-        fast = co.fft_convolve(f, gamma, ALL_KINDS)
-        direct = co.direct_convolve_many(f, gamma, ALL_KINDS)
-        for fa, di, kind in zip(fast, direct, ALL_KINDS):
-            scale = max(np.max(np.abs(di)), 1e-300)
-            assert np.max(np.abs(fa - di)) / scale < 1e-9, (n, kind)
+        for f in (maxwellian(grid), _tilted_gaussian(grid)):
+            fast = co.fft_convolve(f, gamma, ALL_KINDS)
+            direct = co.direct_convolve_many(f, gamma, ALL_KINDS)
+            for fa, di, kind in zip(fast, direct, ALL_KINDS):
+                scale = max(np.max(np.abs(di)), 1e-300)
+                assert np.max(np.abs(fa - di)) / scale < tol, (n, kind)
+
+
+def test_gamma0_signed_zero_mass_field_matches_direct_summation(rng):
+    # f has no mean to centre at; roundoff is measured against the sums for |f|
+    grid = make_grid(3, 2.0, 8)
+    vals = rng.normal(size=grid.shape)
+    vals -= vals.mean()
+    fast = co.fft_convolve(ScalarField(grid, vals), 0.0, ALL_KINDS)
+    direct = co.direct_convolve_many(ScalarField(grid, vals), 0.0, ALL_KINDS)
+    bound = co.direct_convolve_many(ScalarField(grid, np.abs(vals)), 0.0, ALL_KINDS)
+    for fa, di, bo, kind in zip(fast, direct, bound, ALL_KINDS):
+        assert np.max(np.abs(fa - di)) / np.max(np.abs(bo)) < 1e-12, kind
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0])
+def test_unknown_kernel_kind_rejected(gamma, maxwellian16):
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        co.fft_convolve(maxwellian16, gamma, ["h", "B0"])
+
+
+def test_gamma0_builds_without_a_plan(monkeypatch, rng):
+    monkeypatch.setattr(co, "_plan_cache", OrderedDict())
+    monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 0)
+    f = random_density(make_grid(3, 4.0, 16), rng)
+    b = co.build_coefficients(f, 0.0)
+    assert len(co._plan_cache) == 0
+    assert np.all(b.h.values == b.h.values[0, 0, 0]) and np.all(np.isfinite(b.A.comps))
 
 
 def test_fft_results_identical_for_any_worker_count(monkeypatch, rng):
@@ -219,13 +256,18 @@ def test_psd_and_linearity(grid16, maxwellian16, rng):
     assert np.min(lmin) >= -1e-12 * np.max(lmax)
 
 
+def _quadratic_form(A, e):
+    """(A e, e) per node for a fixed direction e, summed entry by entry."""
+    return sum(A.component(i, j) * e[i] * e[j] for i in range(3) for j in range(3))
+
+
 def test_a_star_orderings(bundle16_m1, rng):
     b = bundle16_m1
     lmin, lmax = co.eigenvalue_range(b.A)
     for _ in range(100):
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
-        q = b.A.quadratic_form(e)
+        q = _quadratic_form(b.A, e)
         assert np.all(b.a_star.values <= q + 1e-12 * np.max(lmax))
         assert np.all(q <= b.a.values + 1e-12 * np.max(lmax))
 
@@ -259,7 +301,7 @@ def test_a_star_diagonal_matrix():
     comps[5] = 5.0  # A22
     A = co.MatrixField(grid, comps)
     assert np.allclose(co.a_star_field(A).values, 2.0)
-    assert np.allclose(A.quadratic_form(np.array([0.0, 0.0, 1.0])), 5.0)
+    assert np.allclose(_quadratic_form(A, np.array([0.0, 0.0, 1.0])), 5.0)
 
 
 def test_a_star_direction_sampling_bound(bundle16_m1):

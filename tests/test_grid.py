@@ -7,18 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from landau_lab.errors import (
-    EmptyRegionError,
     GridError,
     MemoryCapError,
     MisalignedCubeError,
     SnapshotFormatError,
 )
 from landau_lab.grid import (
-    Ball,
     ScalarField,
     counterexample_profile,
-    cube_average,
-    integrate,
     make_dyadic_cubes,
     make_grid,
     maxwellian,
@@ -64,31 +60,6 @@ def test_memory_cap():
         make_grid(3, 8.0, 64, node_cap=1000)
 
 
-def test_integrate_constants(grid16):
-    ones = ScalarField(grid16, np.ones(grid16.shape))
-    assert integrate(ones) == pytest.approx(4096.0, abs=1e-9)
-    zeros = ScalarField(grid16, np.zeros(grid16.shape))
-    assert integrate(zeros) == 0.0
-
-
-def test_integrate_ball_and_empty(grid16):
-    ones = ScalarField(grid16, np.ones(grid16.shape))
-    ball = Ball((0.0, 0.0, 0.0), 4.0)
-    vol = integrate(ones, ball)
-    assert abs(vol - 4.0 / 3.0 * math.pi * 64.0) / vol < 0.2
-    with pytest.raises(EmptyRegionError):
-        integrate(ones, Ball((20.0, 0.0, 0.0), 0.1))
-
-
-def test_integrate_linear_monotone(grid16, rng):
-    f = ScalarField(grid16, rng.random(grid16.shape))
-    g = ScalarField(grid16, f.values + rng.random(grid16.shape))
-    a, b = 0.7, -1.3
-    lin = ScalarField(grid16, a * f.values + b * g.values)
-    assert integrate(lin) == pytest.approx(a * integrate(f) + b * integrate(g), rel=1e-12)
-    assert integrate(f) <= integrate(g)
-
-
 def test_maxwellian_mass_vs_1d_quadrature(grid16):
     # unnormalized Gaussian sampled by midpoint quadrature versus the exact
     # integral, per axis; the 3-D discrete mass is the product of 1-D sums
@@ -123,14 +94,18 @@ def test_maxwellian_bit_stable(grid16):
     assert a.values.tobytes() == b.values.tobytes()
 
 
+def _cube_average(f, cube):
+    return float(np.mean(f.values[cube.slices()]))
+
+
 def test_cube_average_constant_linear(grid16):
     cubes = make_dyadic_cubes(grid16, 4.0, 0)
     c = cubes.cubes[0]
     const = ScalarField(grid16, np.full(grid16.shape, 2.5))
-    assert cube_average(const, c) == pytest.approx(2.5, rel=1e-14)
+    assert _cube_average(const, c) == pytest.approx(2.5, rel=1e-14)
     x = ScalarField(grid16, np.broadcast_to(grid16.coords()[0], grid16.shape).copy())
     center = c.center(grid16)
-    assert cube_average(x, c) == pytest.approx(center[0], abs=1e-12)
+    assert _cube_average(x, c) == pytest.approx(center[0], abs=1e-12)
 
 
 def test_cube_average_inverse_radius_comparability(grid16):
@@ -144,7 +119,7 @@ def test_cube_average_inverse_radius_comparability(grid16):
         if r < 4.0:
             continue
         ref = max(r, cube.side(grid16)) ** -1.0
-        ratio = cube_average(w, cube) / ref
+        ratio = _cube_average(w, cube) / ref
         assert 0.25 < ratio < 4.0
 
 
@@ -171,8 +146,8 @@ def test_children_tile_parent(grid16, rng):
         parent.anchor[ax] <= c.anchor[ax] < parent.anchor[ax] + parent.n_cells for ax in range(3)
     )]
     assert len(kids) == 8
-    avg_kids = np.mean([cube_average(f, k) for k in kids])
-    assert avg_kids == pytest.approx(cube_average(f, parent), rel=1e-12)
+    avg_kids = np.mean([_cube_average(f, k) for k in kids])
+    assert avg_kids == pytest.approx(_cube_average(f, parent), rel=1e-12)
 
 
 def test_counterexample_profile(grid16):
@@ -181,7 +156,7 @@ def test_counterexample_profile(grid16):
     vals = f0.values[inside]
     assert np.allclose(vals, vals[0])  # uniform on the unit ball
     assert np.all(f0.values[~inside] == 0)
-    assert integrate(f0) == pytest.approx(1.0, rel=1e-12)
+    assert moments(f0)[0] == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(GridError):
         counterexample_profile(grid16, 3.0)
 
@@ -210,10 +185,10 @@ def test_squeezed_gaussian_moments(grid24):
 
 def test_shell_and_random_density(grid16, rng):
     s = shell_profile(grid16, 2.0, 0.5)
-    assert integrate(s) == pytest.approx(1.0, rel=1e-12)
+    assert moments(s)[0] == pytest.approx(1.0, rel=1e-12)
     assert np.all(s.values >= 0)
     f = random_density(grid16, rng)
-    assert integrate(f) == pytest.approx(1.0, rel=1e-12)
+    assert moments(f)[0] == pytest.approx(1.0, rel=1e-12)
     assert np.all(f.values >= 0)
 
 

@@ -6,7 +6,7 @@ import pytest
 from landau_lab.coefficients import build_coefficients
 from landau_lab.errors import NonNegativityError
 from landau_lab.grid import ScalarField, counterexample_profile, make_grid, maxwellian, moments, squeezed_gaussian
-from landau_lab.operators import nondivergence_apply
+from landau_lab.operators import folded_matrix, nondivergence_apply
 from landau_lab.solver import (
     SolverState,
     collision_operator,
@@ -215,6 +215,10 @@ def test_imex_solve_failure_reports_residual(rng):
     x = info.value.iterate
     resid = np.linalg.norm(rhs - (split.mref.values * x - 0.1 * split.diffusion.apply(x))) / np.linalg.norm(rhs)
     assert info.value.residual == pytest.approx(resid, rel=1e-12)
+    # the reported residual is the einsum reduction, not a threaded-BLAS norm
+    b = rhs.ravel()
+    r = b - folded_matrix(split.matrix, split.mref.values.ravel(), -0.1) @ x.ravel()
+    assert info.value.residual == math.sqrt(np.einsum("i,i->", r, r)) / math.sqrt(np.einsum("i,i->", b, b))
     assert f"relative residual {resid:.3g}" in str(info.value)
     assert "after 2 iterations" in str(info.value)
 
