@@ -35,9 +35,15 @@ convolutions are linear FFT convolutions on a box of P >= 2N-1 points per
 axis; the offset-zero cell of each kernel carries its analytic average over
 the cell, reducing the matrix-kernel cell averages to the scalar one by
 parity.  Each kernel table is wrapped, offset k at index k mod P, so it is
-exactly even or odd in every axis: the rfftn of h, a and the A_ij is real and
-that of the D_i imaginary, and a plan stores only that real or imaginary part
-as a float64 half-spectrum.  f fills [0, N)^3 of the box, so the forward
+exactly even or odd in every axis (A_ij, i != j, is odd in axes i and j, D_i
+in axis i, the rest are even): the table is sampled on the octant of
+nonnegative offsets and mirrored, the rfftn of h, a and the A_ij is real and
+that of the D_i imaginary, and its real or imaginary part has the same
+parities.  A plan stores only the float64 octant [:m, :m, :], m = P//2 + 1,
+of that half-spectrum, 21 MiB for the ten spectra of an N=64 plan instead of
+81 MiB, so the 1 GiB budget first refuses a ten-kind bundle at N=232 instead
+of N=150.  The product unfolds the octant through reversed views, negated
+where an odd axis flips.  f fills [0, N)^3 of the box, so the forward
 transform runs only over its nonzero lines, and each inverse transform keeps
 only the N output lines it needs on every axis: the result is [0, N)^3.
 """
@@ -45,6 +51,7 @@ only the N output lines it needs on every axis: the result is [0, N)^3.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -221,32 +228,52 @@ def kernel_point_values(
 _PLAN_BYTE_BUDGET = 2**30  # bytes of kernel spectra the plan cache may hold
 
 
+def _odd_axes(kind: str) -> tuple[int, ...]:
+    """Axes in which the wrapped table of ``kind`` is odd: i and j for A_ij with i != j, i for D_i."""
+    if kind.startswith("D"):
+        return (int(kind[1]),)
+    if kind.startswith("A") and kind[1] != kind[2]:
+        return (int(kind[1]), int(kind[2]))
+    return ()
+
+
 class _ConvPlan:
     def __init__(self, grid: VelocityGrid, gamma: float):
         self.grid = grid
         self.gamma = gamma
         self.pad = sfft.next_fast_len(2 * grid.points_per_axis - 1)
-        self.spectrum_bytes = self.pad * self.pad * (self.pad // 2 + 1) * 8
+        self.spectrum_bytes = (self.pad // 2 + 1) ** 3 * 8
         self.kernel_ffts: dict[str, np.ndarray] = {}
 
     def nbytes(self) -> int:
         return sum(s.nbytes for s in self.kernel_ffts.values())
 
     def kernel_fft(self, kind: str) -> np.ndarray:
-        """Real part (even kernels) or imaginary part ('Di', odd) of the wrapped table's rfftn."""
+        """
+        Parity octant [:m, :m, :], m = P//2 + 1, of the real part (even
+        kernels) or imaginary part ('Di') of the wrapped table's rfftn.
+        """
         if kind not in self.kernel_ffts:
             n, P = self.grid.points_per_axis, self.pad
-            k = np.r_[0:n, 1 - n : 0]  # offset k sits at index k mod P
-            z1 = k * self.grid.spacing
+            z1 = np.arange(n) * self.grid.spacing  # the octant of offsets 0..n-1
             coords = np.ix_(z1, z1, z1)
             r2 = sum(c**2 for c in coords)
             table = kernel_point_values(self.grid.spacing, self.gamma, kind, coords, r2)
             del r2  # one table-sized array fewer while the transform runs
+            # offset -k sits at index P - k: mirror the octant, negated where an odd axis flips
+            odd = _odd_axes(kind)
             buf = np.zeros((P, P, P))
-            buf[np.ix_(k % P, k % P, k % P)] = table
+            for flips in itertools.product((False, True), repeat=3):
+                dst = tuple(slice(P - n + 1, P) if fl else slice(0, n) for fl in flips)
+                src = tuple(slice(n - 1, 0, -1) if fl else slice(0, n) for fl in flips)
+                if sum(fl and ax in odd for ax, fl in enumerate(flips)) % 2:
+                    np.negative(table[src], out=buf[dst])
+                else:
+                    buf[dst] = table[src]
             spec = sfft.rfftn(buf, workers=_DEF_WORKERS)
             part = spec.imag if kind.startswith("D") else spec.real
-            self.kernel_ffts[kind] = np.ascontiguousarray(part)
+            m = P // 2 + 1
+            self.kernel_ffts[kind] = part[:m, :m].copy()  # owns its data: the full spectrum is freed
         return self.kernel_ffts[kind]
 
 
@@ -345,20 +372,25 @@ def fft_convolve(f: ScalarField, gamma: float, kinds: list[str]) -> list[np.ndar
     fhat = sfft.rfft(f.values, P, axis=2, workers=_DEF_WORKERS)
     fhat = sfft.fft(fhat, P, axis=0, workers=_DEF_WORKERS)
     fhat = sfft.fft(fhat, P, axis=1, workers=_DEF_WORKERS)
-    ifhat = None
     prod = np.empty_like(fhat)  # reused by every kind; the inverse passes overwrite it
+    m = P // 2 + 1
+    # rows m..P-1 of axes 0 and 1 read octant rows P-m..1 of the stored spectrum
+    halves = ((slice(0, m), slice(None), False), (slice(m, P), slice(P - m, 0, -1), True))
     w = grid.spacing**grid.dim
     out = []
     for kind in kinds:
-        if kind.startswith("D"):
-            if ifhat is None:
-                ifhat = 1j * fhat
-            np.multiply(ifhat, plan.kernel_fft(kind), out=prod)
-        else:
-            np.multiply(fhat, plan.kernel_fft(kind), out=prod)
+        octant = plan.kernel_fft(kind)
+        odd = _odd_axes(kind)
+        for (rows0, oct0, flip0), (rows1, oct1, flip1) in itertools.product(halves, halves):
+            view = octant[oct0, oct1]
+            if (flip0 and 0 in odd) != (flip1 and 1 in odd):
+                view = -view  # negate the real octant block, never the complex product
+            np.multiply(fhat[rows0, rows1], view, out=prod[rows0, rows1])
         # keep only the n output lines of each inverse pass
         conv = sfft.ifft(prod, axis=0, overwrite_x=True, workers=_DEF_WORKERS)[:n]
         conv = sfft.ifft(conv, axis=1, overwrite_x=True, workers=_DEF_WORKERS)[:, :n]
+        if kind.startswith("D"):
+            conv *= 1j  # the D spectra are imaginary: apply the factor i to the pruned lines
         conv = sfft.irfft(conv, P, axis=2, workers=_DEF_WORKERS)[:, :, :n]
         out.append(w * conv)
     return out

@@ -4,17 +4,17 @@ Hölder constants, local doubling, and the cube ratio coupling the reaction
 and diffusion coefficients.
 
 All suprema run over explicit lattice-aligned families (deterministic and
-reproducible); cube averages are box sums off an integral image, so a full
-family costs one cumulative-sum pass plus O(1) per cube.
+reproducible).  Each level of a family tiles the box in C order, so its cube
+averages and minima are block reductions of one reshape of the field: a level
+costs one pass over the nodes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sfft
 
 from .errors import EmptyRegionError, NonNegativityError, WeightPositivityError
 from .grid import Cube, CubeSet, ScalarField, VelocityGrid
@@ -51,49 +51,25 @@ class WeightReport:
         }
 
 
-class BoxSums:
-    """Integral image giving O(1) sums of any cell-aligned box."""
-
-    def __init__(self, values: np.ndarray):
-        table = values
-        for ax in range(values.ndim):
-            table = np.cumsum(table, axis=ax)
-        self.table = np.pad(table, [(1, 0)] * values.ndim)
-        self.ndim = values.ndim
-
-    def block_sum(self, anchors: np.ndarray, m: int) -> np.ndarray:
-        """Sums over blocks [a, a+m) per axis for an (K, d) anchor array."""
-        acc = np.zeros(anchors.shape[0])
-        for corner in itertools.product((0, 1), repeat=self.ndim):
-            idx = tuple(anchors[:, ax] + (m if corner[ax] else 0) for ax in range(self.ndim))
-            sign = (-1) ** (self.ndim - sum(corner))
-            acc += sign * self.table[idx]
-        return acc
+def _per_cube(values: np.ndarray, cubes: CubeSet, reduce) -> np.ndarray:
+    """``reduce`` of ``values`` over every cube of the family, in family order."""
+    cells = tuple(range(1, 2 * values.ndim, 2))
+    out = []
+    for m in cubes.cells:
+        # level cubes tile the box in C order: axes 1, 3, ... run over a cube's cells
+        blocks = values.reshape((values.shape[0] // m, m) * values.ndim)
+        out.append(reduce(blocks, axis=cells).ravel())
+    return np.concatenate(out)
 
 
 def cube_family_averages(values: np.ndarray, cubes: CubeSet) -> np.ndarray:
     """Mean of ``values`` over every cube of the family, in family order."""
-    sums = BoxSums(values)
-    nonneg = bool(np.all(values >= 0))
-    out = []
-    for m, anchors in zip(cubes.cells, cubes.anchors):
-        block = sums.block_sum(anchors, m)
-        if nonneg:
-            # integral-image cancellation can leave tiny negatives
-            block = np.maximum(block, 0.0)
-        out.append(block / float(m**values.ndim))
-    return np.concatenate(out)
+    return _per_cube(values, cubes, np.mean)
 
 
 def cube_family_minima(values: np.ndarray, cubes: CubeSet) -> np.ndarray:
-    """Minimum of ``values`` over every cube, via separable window minima."""
-    out = []
-    for m, anchors in zip(cubes.cells, cubes.anchors):
-        pooled = values
-        for ax in range(values.ndim):
-            pooled = np.lib.stride_tricks.sliding_window_view(pooled, m, axis=ax).min(axis=-1)
-        out.append(pooled[tuple(anchors.T)])
-    return np.concatenate(out)
+    """Minimum of ``values`` over every cube of the family, in family order."""
+    return _per_cube(values, cubes, np.min)
 
 
 def _cube_set_summary(cubes: CubeSet) -> dict:
@@ -190,8 +166,14 @@ def _ball_offsets(grid: VelocityGrid, radius: float) -> np.ndarray:
 def ball_sum_field(f: ScalarField, radius: float) -> np.ndarray:
     """Integral of f over the ball of given radius centered at every node."""
     kernel = _ball_offsets(f.grid, radius)
-    conv = signal.fftconvolve(f.values, kernel, mode="same")
-    return conv * f.grid.spacing**f.grid.dim
+    n, k = f.grid.points_per_axis, kernel.shape[0]
+    w = f.grid.spacing**f.grid.dim
+    if k == 1:
+        return f.values * w  # the ball holds its centre node alone
+    # linear convolution on a fast real-FFT length, cropped to the centred N^d block
+    fshape = [sfft.next_fast_len(n + k - 1, True)] * f.grid.dim
+    conv = sfft.irfftn(sfft.rfftn(f.values, fshape) * sfft.rfftn(kernel, fshape), fshape)
+    return conv[(slice(k // 2, k // 2 + n),) * f.grid.dim] * w
 
 
 def doubling_constant(

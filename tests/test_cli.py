@@ -274,6 +274,21 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import landau_lab
+
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+    code = f"import sys, landau_lab; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(landau_lab.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_profile_kinds(tmp_path):
     grid = make_grid(3, 8.0, 16)
     rng = np.random.default_rng(0)

@@ -127,19 +127,48 @@ def test_cached_spectra_are_real_half_spectra(monkeypatch, maxwellian16):
     monkeypatch.setattr(co, "_plan_cache", OrderedDict())
     co.fft_convolve(maxwellian16, -1.0, ALL_KINDS)
     (plan,) = co._plan_cache.values()
-    P = plan.pad
+    m = plan.pad // 2 + 1
     assert sorted(plan.kernel_ffts) == sorted(ALL_KINDS)
     for kind, spec in plan.kernel_ffts.items():
         assert spec.dtype == np.float64, kind
-        assert spec.shape == (P, P, P // 2 + 1), kind
+        assert spec.shape == (m, m, m), kind  # the parity octant
         assert spec.flags.c_contiguous, kind
+        assert spec.flags.owndata, kind  # a copy, not a view holding the full spectrum
+
+
+# axes in which each wrapped kernel table is odd; the rest are even
+ODD_AXES = {"A01": (0, 1), "A02": (0, 2), "A12": (1, 2), "D0": (0,), "D1": (1,), "D2": (2,)}
+
+
+@pytest.mark.parametrize("n", [16, 6, 32])  # pads 32 (even), 11 and 63 (odd)
+def test_octant_unfolds_to_the_full_spectrum(n):
+    grid = make_grid(3, 2.0, n)
+    plan = co._ConvPlan(grid, -1.0)
+    P = plan.pad
+    m = P // 2 + 1
+    k = np.r_[0:n, 1 - n : 0]  # offset k at index k mod P
+    z = k * grid.spacing
+    coords = np.ix_(z, z, z)
+    r2 = sum(c**2 for c in coords)
+    rows = np.arange(P)
+    folded = np.minimum(rows, P - rows)
+    for kind in ALL_KINDS:
+        table = np.zeros((P, P, P))
+        table[np.ix_(k % P, k % P, k % P)] = co.kernel_point_values(grid.spacing, -1.0, kind, coords, r2)
+        spec = np.fft.rfftn(table)
+        full = spec.imag if kind.startswith("D") else spec.real
+        odd = ODD_AXES.get(kind, ())
+        sign = [np.where((rows >= m) & (ax in odd), -1.0, 1.0) for ax in (0, 1)]
+        unfolded = plan.kernel_fft(kind)[np.ix_(folded, folded)] * sign[0][:, None, None] * sign[1][None, :, None]
+        assert unfolded.shape == full.shape, kind
+        assert np.max(np.abs(unfolded - full)) <= 1e-15 * np.max(np.abs(full)), (n, kind)
 
 
 def test_plan_cache_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(co, "_plan_cache", OrderedDict())
-    grid = make_grid(3, 2.0, 6)  # pad 11: 11 * 11 * 6 * 8 = 5808 bytes per spectrum
+    grid = make_grid(3, 2.0, 6)  # pad 11, octant side 6: 6 * 6 * 6 * 8 = 1728 bytes per spectrum
     f = maxwellian(grid)
-    per_plan = 2 * 5808
+    per_plan = 2 * 1728
     monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 2 * per_plan)
     for gamma in (-1.0, -2.0):
         co.fft_convolve(f, gamma, ["h", "a"])
@@ -154,12 +183,12 @@ def test_plan_cache_evicts_least_recently_used(monkeypatch):
 
 def test_plan_over_budget_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(co, "_plan_cache", OrderedDict())
-    monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 10_000)
+    monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 3_000)
     f = maxwellian(make_grid(3, 2.0, 6))
-    co.fft_convolve(f, -1.0, ["h"])  # 5808 bytes fit
+    co.fft_convolve(f, -1.0, ["h"])  # 1728 bytes fit
     with pytest.raises(MemoryCapError) as err:
         co.fft_convolve(f, -1.0, ["h", "a"])
-    assert "11616 bytes" in str(err.value) and "10000 bytes" in str(err.value)
+    assert "3456 bytes" in str(err.value) and "3000 bytes" in str(err.value)
     with pytest.raises(MemoryCapError):
         co.build_coefficients(maxwellian(make_grid(3, 2.0, 64)), -1.0)
     assert [list(p.kernel_ffts) for p in co._plan_cache.values()] == [["h"]]
