@@ -31,7 +31,6 @@ from .grid import (
 from .poincare import LambdaCurve, gks_check, lambda_curve, verify_eps_poincare
 from .rates import RateFit, fit_decay, linf_history, moser_report, moser_schedule
 from .solver import (
-    SolverState,
     Trajectory,
     collision_operator,
     entropy,
@@ -51,7 +50,6 @@ __all__ = [
     "MatrixField",
     "RateFit",
     "ScalarField",
-    "SolverState",
     "Trajectory",
     "VelocityGrid",
     "WeightReport",

@@ -221,12 +221,12 @@ def _run_toggled_diagnostics(traj: Trajectory, cfg: dict, out_dir):
         write_json(os.path.join(out_dir, "moser.json"), rep)
 
 
-def default_cube_family(grid, max_levels: int = 2):
-    """Largest lattice-aligned dyadic family with at most ``max_levels`` refinements."""
+def default_cube_family(grid):
+    """Largest lattice-aligned dyadic family with at most 2 refinements."""
     cells = max(grid.points_per_axis // 8, 2)
     levels = 0
     c = cells
-    while levels < max_levels and c % 2 == 0 and c // 2 >= 2:
+    while levels < 2 and c % 2 == 0 and c // 2 >= 2:
         c //= 2
         levels += 1
     return make_dyadic_cubes(grid, cells * grid.spacing, levels)
@@ -280,7 +280,7 @@ def _diagnose_poincare(f: ScalarField, gamma: float, out_dir, params=None):
 
 def _diagnose_coefficients(f: ScalarField, gamma: float, out_dir):
     bundle = coeff.build_coefficients(f, gamma)
-    rep = coeff.comparability_report(f, gamma, bundle)
+    rep = coeff.comparability_report(bundle)
     names = {"h": bundle.h, "a": bundle.a, "a_star": bundle.a_star}
     files = {}
     for name, fld in names.items():

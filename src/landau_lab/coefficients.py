@@ -13,7 +13,7 @@ the whole bundle:
     a      = tr A                 (kernel (d-1) C_A |z|^(2+gamma))
     b      = div A                (kernel -(d-1) C_A z |z|^gamma), the drift
     h      = -div div A           (kernel (d-1)(d+gamma) C_A |z|^gamma)
-    grad a                        (kernel (2+gamma)(d-1) C_A z |z|^gamma)
+    grad a = -(2+gamma) b         (kernel (2+gamma)(d-1) C_A z |z|^gamma)
 
 C_A is normalized so that h is the Riesz potential of order d + gamma of f
 (h = f in the limit gamma = -d, and h = mass for gamma = 0 where the Riesz
@@ -396,27 +396,25 @@ def fft_convolve(f: ScalarField, gamma: float, kinds: list[str]) -> list[np.ndar
     return out
 
 
-def direct_convolve_many(
-    f: ScalarField, gamma: float, kinds: list[str], chunk: int = 512
-) -> list[np.ndarray]:
+def direct_convolve_many(f: ScalarField, gamma: float, kinds: list[str]) -> list[np.ndarray]:
     """
     O(N^(2d)) pairwise summation with the same kernel values as the fast
-    path, sharing the offset geometry across kernels.  Independent oracle for
-    small grids.
+    path, sharing the offset geometry across kernels, 512 targets at a time.
+    Independent oracle for small grids.
     """
     grid = f.grid
     pts = np.stack([np.broadcast_to(c, grid.shape).ravel() for c in grid.coords()], axis=-1)
     fv = f.values.ravel()
     w = grid.spacing**grid.dim
     outs = [np.empty(pts.shape[0]) for _ in kinds]
-    for start in range(0, pts.shape[0], chunk):
-        tgt = pts[start : start + chunk]
+    for start in range(0, pts.shape[0], 512):
+        tgt = pts[start : start + 512]
         z = tgt[:, None, :] - pts[None, :, :]
         r2 = np.einsum("abi,abi->ab", z, z)
         coords = tuple(z[..., i] for i in range(grid.dim))
         for k_idx, kind in enumerate(kinds):
             k = kernel_point_values(grid.spacing, gamma, kind, coords, r2)
-            outs[k_idx][start : start + chunk] = k @ fv
+            outs[k_idx][start : start + 512] = k @ fv
     return [w * o.reshape(grid.shape) for o in outs]
 
 
@@ -561,7 +559,6 @@ class CoefficientBundle:
     h: ScalarField
     a: ScalarField
     A: MatrixField
-    grad_a: list[ScalarField]
     drift: list[ScalarField]
     constants: dict[str, float]
 
@@ -577,7 +574,7 @@ class CoefficientBundle:
 
 def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     """
-    Compute h, a, A, grad a and the drift for one density from one
+    Compute h, a, A and the drift for one density from one
     ``fft_convolve`` call: one forward FFT for gamma < 0, the moments of f at
     gamma = 0.  a* follows on first read.
     """
@@ -594,14 +591,13 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     A = MatrixField(f.grid, comps)
     dvec = convs[nA : nA + f.grid.dim]
     drift = [ScalarField(f.grid, consts["c_drift"] * c) for c in dvec]
-    grad_a = [ScalarField(f.grid, consts["c_grad_a"] * c) for c in dvec]
     if g == -f.grid.dim:
         h = f.copy()
     else:
         h = ScalarField(f.grid, consts["c_h"] * convs[-1])
     _require_finite(A)
     a = ScalarField(f.grid, A.trace())
-    return CoefficientBundle(g, f, h, a, A, grad_a, drift, consts)
+    return CoefficientBundle(g, f, h, a, A, drift, consts)
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:
@@ -624,17 +620,16 @@ def spectral_laplacian(f: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def comparability_report(f: ScalarField, gamma: float, bundle: CoefficientBundle | None = None) -> dict:
+def comparability_report(bundle: CoefficientBundle) -> dict:
     """
-    Empirical best constants in the pointwise comparability bounds: lower
-    bounds a >= c <v>^(gamma+2) and a* >= c <v>^gamma over the grid, and for
-    gamma <= -2 the upper ratio a <= C <v>^max(-gamma-2, 2) a*.  Includes the
-    doubling constant of f.
+    Empirical best constants in the pointwise comparability bounds of the
+    bundle: lower bounds a >= c <v>^(gamma+2) and a* >= c <v>^gamma over the
+    grid, and for gamma <= -2 the upper ratio a <= C <v>^max(-gamma-2, 2) a*.
+    Includes the doubling constant of the bundle's density f.
     """
+    f, gamma = bundle.f, bundle.gamma
     if float(np.max(f.values)) <= 0.0:
         raise NonNegativityError("comparability report needs a nonzero density")
-    if bundle is None:
-        bundle = build_coefficients(f, gamma)
     from .weights import doubling_constant  # local import to avoid a cycle
 
     bracket = np.sqrt(1.0 + f.grid.radius_squared())
@@ -656,21 +651,19 @@ def comparability_report(f: ScalarField, gamma: float, bundle: CoefficientBundle
     return report
 
 
-def verify_constant_chain(dim: int, gamma: float, radii=None) -> dict:
+def verify_constant_chain(dim: int, gamma: float) -> dict:
     """
     Independent check of the normalization chain: numerically differentiate
     the trace kernel c_a |z|^(2+gamma) with high-order finite differences and
-    compare -Delta against laplace_factor * c_h |z|^gamma at sample radii.
-    Catches any tampering with the constants.
+    compare -Delta against laplace_factor * c_h |z|^gamma at 7 radii in
+    [0.8, 3].  Catches any tampering with the constants.
     """
     consts = kernel_constants(dim, gamma)
     if gamma in (-dim,):
         # distributional identity; check the drift/trace ratio instead
         return {"max_rel_err": 0.0, "checked": "drift-ratio", **consts}
-    if radii is None:
-        radii = np.linspace(0.8, 3.0, 7)
     errs = []
-    for r in radii:
+    for r in np.linspace(0.8, 3.0, 7):
         step = 1e-3 * r
         # radial Laplacian f'' + (d-1)/r f' of c_a r^(2+gamma), 4th-order stencil
         def aval(x):

@@ -338,15 +338,15 @@ def shell_profile(grid: VelocityGrid, radius: float = 2.0, width: float = 0.25) 
     return ScalarField(grid, vals / total)
 
 
-def random_density(grid: VelocityGrid, rng: np.random.Generator, n_modes: int = 4) -> ScalarField:
+def random_density(grid: VelocityGrid, rng: np.random.Generator) -> ScalarField:
     """
-    Seeded random smooth density: a squared low-mode trigonometric sum under a
-    Gaussian envelope, unit mass.
+    Seeded random smooth density: a squared sum of four low-mode
+    trigonometric waves under a Gaussian envelope, unit mass.
     """
     L = grid.half_extent
     coords = grid.coords()
     wave = np.zeros(grid.shape)
-    for _ in range(n_modes):
+    for _ in range(4):
         k = rng.integers(-3, 4, size=grid.dim)
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.uniform(0.3, 1.0)

@@ -21,12 +21,13 @@ import numpy as np
 import scipy.linalg
 
 from .coefficients import CoefficientBundle, build_coefficients
-from .errors import IterationError, NonNegativityError
+from .errors import GammaRangeError, IterationError
 from .grid import ScalarField
 from .operators import DiffusionOperator, dot, energy_form, folded_matrix
 
 BASIS = 40  # Lanczos vectors per cycle: one (BASIS + 1, n) array
 KEPT = 10  # Ritz pairs kept at each thick restart
+FIT_POINTS = 4  # smallest epsilons the coercivity slopes are fitted on
 
 
 @dataclass
@@ -148,20 +149,8 @@ def _top_eigenvalue(
         j += 1
 
 
-def _as_bundle(f_or_bundle, gamma) -> CoefficientBundle | None:
-    if isinstance(f_or_bundle, CoefficientBundle):
-        return f_or_bundle
-    f: ScalarField = f_or_bundle
-    if float(np.max(np.abs(f.values))) == 0.0:
-        return None
-    if gamma is None:
-        raise ValueError("gamma is required when passing a raw density")
-    return build_coefficients(f, gamma)
-
-
 def lambda_curve(
-    f_or_bundle,
-    gamma: float | None = None,
+    bundle: CoefficientBundle,
     epsilons=None,
     mass_weight: np.ndarray | None = None,
     tol: float = 1e-6,
@@ -169,29 +158,25 @@ def lambda_curve(
     weight_name: str = "none",
 ) -> LambdaCurve:
     """
-    Evaluate the functional on a grid of epsilons (default 8 points in
-    [1e-3, 1]).  The operator is assembled once per curve, and each epsilon
-    starts from the eigenvector of the one before.
+    Evaluate the functional of the bundle on a grid of epsilons (default 8
+    points in [1e-3, 1]).  The operator is assembled once per curve, and
+    each epsilon starts from the eigenvector of the one before.  A zero
+    bundle gives the zero curve: the first Lanczos step meets a zero
+    residual.
     """
-    bundle = _as_bundle(f_or_bundle, gamma)
     if epsilons is None:
         epsilons = np.logspace(-3, 0, 8)
-    epsilons = [float(e) for e in epsilons]
-    if bundle is None:
-        zeros = [0.0] * len(epsilons)
-        return LambdaCurve(gamma or 0.0, (), epsilons, zeros, [0] * len(epsilons), zeros, weight_name)
+    epsilons = sorted(float(e) for e in epsilons)
     L = DiffusionOperator(bundle.A, bc="dirichlet")
     S = L.matrix()
     lams, iters, resids = [], [], []
     v0 = None
-    for eps in sorted(epsilons):
+    for eps in epsilons:
         lam, it, res, v0 = _top_eigenvalue(bundle.h.values, L, S, eps, mass_weight, tol, maxiter, v0)
         lams.append(lam)
         iters.append(it)
         resids.append(res)
-    return LambdaCurve(
-        bundle.gamma, bundle.grid.key(), sorted(epsilons), lams, iters, resids, weight_name
-    )
+    return LambdaCurve(bundle.gamma, bundle.grid.key(), epsilons, lams, iters, resids, weight_name)
 
 
 def _slope(epsilons, lambdas, n_points: int) -> tuple[float, float]:
@@ -208,28 +193,21 @@ def _slope(epsilons, lambdas, n_points: int) -> tuple[float, float]:
     return float(coef[0]), rms
 
 
-def verify_eps_poincare(
-    f: ScalarField,
-    gamma: float,
-    epsilons=None,
-    fit_points: int = 4,
-    tol: float = 1e-6,
-    bundle: CoefficientBundle | None = None,
-) -> dict:
+def verify_eps_poincare(f: ScalarField, gamma: float, epsilons=None) -> dict:
     """
     Fit the scaling of the coercivity curve: for gamma in (-2, 0) the
     predicted small-epsilon exponent is gamma/(2+gamma) (-1 at gamma = -1);
     at gamma = 0 the curve stays bounded; for gamma <= -2 the small-epsilon
     floor is recorded.  Also evaluates the bracket-weighted variant (mass
-    weight <v>^gamma on the right-hand side).
+    weight <v>^gamma on the right-hand side).  The slopes are fitted on the
+    FIT_POINTS smallest epsilons.
     """
     if epsilons is None:
         epsilons = np.logspace(-3, 0, 8)
     if len(epsilons) < 4:
         raise ValueError("need at least 4 epsilon samples")
-    if bundle is None:
-        bundle = build_coefficients(f, gamma)
-    curve = lambda_curve(bundle, epsilons=epsilons, tol=tol)
+    bundle = build_coefficients(f, gamma)
+    curve = lambda_curve(bundle, epsilons=epsilons)
     bracket = (1.0 + f.grid.radius_squared()) ** (gamma / 2.0)
     if np.all(bracket == 1.0):  # gamma = 0: the weighted problem is the plain one
         wcurve = replace(
@@ -241,9 +219,9 @@ def verify_eps_poincare(
             weight="bracket_gamma",
         )
     else:
-        wcurve = lambda_curve(bundle, epsilons=epsilons, mass_weight=bracket, tol=tol, weight_name="bracket_gamma")
-    slope, rms = _slope(curve.epsilons, curve.lambdas, fit_points)
-    wslope, wrms = _slope(wcurve.epsilons, wcurve.lambdas, fit_points)
+        wcurve = lambda_curve(bundle, epsilons=epsilons, mass_weight=bracket, weight_name="bracket_gamma")
+    slope, rms = _slope(curve.epsilons, curve.lambdas, FIT_POINTS)
+    wslope, wrms = _slope(wcurve.epsilons, wcurve.lambdas, FIT_POINTS)
     out = {
         "gamma": gamma,
         "curve": curve,
@@ -264,19 +242,20 @@ def verify_eps_poincare(
     return out
 
 
-def gks_check(f: ScalarField, p: float, bundle: CoefficientBundle | None = None) -> dict:
+def gks_check(bundle: CoefficientBundle, p: float) -> dict:
     """
-    Nonlinear Coulomb coercivity: int f^(p+1) against ((p+1)/p)^2 times the
-    diffusion energy of f^(p/2), with centered gradients.  The ratio is at
-    most 1 in the continuum; the constant is sharp as p -> 1.
+    Nonlinear Coulomb coercivity of the bundle's density: int f^(p+1)
+    against ((p+1)/p)^2 times the diffusion energy of f^(p/2), with centered
+    gradients.  The ratio is at most 1 in the continuum; the constant is
+    sharp as p -> 1.  The bundle must be the Coulomb one, gamma = -d.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    if np.any(f.values < 0):
-        raise NonNegativityError("the coercivity check needs a nonnegative density")
-    gamma = -float(f.grid.dim)
-    if bundle is None:
-        bundle = build_coefficients(f, gamma)
+    f = bundle.f
+    if bundle.gamma != -f.grid.dim:
+        raise GammaRangeError(
+            f"the coercivity check needs the Coulomb bundle, gamma = -{f.grid.dim}; got {bundle.gamma}"
+        )
     vol = f.grid.spacing**f.grid.dim
     lhs = float(np.sum(f.values ** (p + 1.0)) * vol)
     fp2 = f.values ** (p / 2.0)

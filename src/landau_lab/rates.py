@@ -196,22 +196,15 @@ def moser_schedule(n_max: int, T: float, R: float, dim: int = 3) -> list[dict]:
     return rows
 
 
-def _iteration_cutoff(grid, R_outer: float, R_inner: float) -> ScalarField:
-    """Cutoff supported in B(R_outer), identically 1 on B(R_inner)."""
-    return smoothstep_cutoff(grid, R_inner, R_outer)
-
-
-def moser_report(traj: Trajectory, n_max: int, R: float, q: float | None = None) -> dict:
+def moser_report(traj: Trajectory, n_max: int, R: float) -> dict:
     """
-    The iteration quantities E_n = (int_{T_n}^T int eta_n^q f^(p_n) astar)^(1/p_n)
-    with the shrinking cutoff family, plus the grid sup norm over the limit
+    The iteration quantities E_n = (int_{T_n}^T int eta_n^q f^(p_n) astar)^(1/p_n),
+    q = 2 + 4/d, with the shrinking cutoff family eta_n (supported in B(R_n),
+    identically 1 on B(R_{n+1})), plus the grid sup norm over the limit
     cylinder B(R/2) x (T/2, T) they should dominate for large n.
     """
-    if n_max > 8:
-        raise ValueError("n_max is capped at 8")
     d = traj.grid.dim
-    if q is None:
-        q = 2.0 + 4.0 / d
+    q = 2.0 + 4.0 / d
     T = traj.times[-1]
     sched = moser_schedule(n_max, T, R, d)
     vol = traj.grid.spacing**d
@@ -224,7 +217,7 @@ def moser_report(traj: Trajectory, n_max: int, R: float, q: float | None = None)
         n = entry["n"]
         R_out = entry["R_n"]
         R_in = (1.0 + 2.0 ** -(n + 1)) * R / 2.0
-        eta = _iteration_cutoff(traj.grid, R_out, R_in)
+        eta = smoothstep_cutoff(traj.grid, R_in, R_out)
         grad_sup = max(
             float(np.max(np.abs(g))) for g in centered_gradient(eta.values, traj.grid.spacing)
         )

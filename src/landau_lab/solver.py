@@ -2,7 +2,11 @@
 Time integration of the homogeneous collision dynamics df/dt = Q(f, f) in
 the split divergence form, with a conservation/entropy ledger.
 
-The stepper freezes the nonlocal coefficients at the step start,
+``simulate`` owns the run: it builds the reference Gaussian of the initial
+data once (its cell weight, temperature and centred velocities with it),
+and at every step one coefficient bundle and one split operator, which the
+ledger row and the step both read; nothing below ``simulate`` rebuilds
+either.  The stepper freezes the nonlocal coefficients at the step start,
 treats diffusion implicitly and the drift explicitly.  The diffusion
 operator is assembled once per step in diagonal storage, straight from its
 13-point stencil; the implicit system diag(M) - dt S is folded into one
@@ -36,6 +40,9 @@ from .operators import (
 )
 
 
+CG_TOL = 1e-10  # relative residual at which the implicit solve stops
+
+
 class ConservationError(LandauLabError, RuntimeError):
     """Ledger mass drift exceeded the configured tolerance; carries the run's clipping record."""
 
@@ -46,7 +53,7 @@ class ConservationError(LandauLabError, RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# state, ledger, trajectory
+# ledger, trajectory
 # ---------------------------------------------------------------------------
 
 
@@ -121,14 +128,6 @@ class StepStats:
 
 
 @dataclass
-class SolverState:
-    f: ScalarField
-    time: float
-    gamma: float
-    step_index: int
-
-
-@dataclass
 class Trajectory:
     """Snapshots plus the per-step ledger of one run."""
 
@@ -158,23 +157,17 @@ def entropy(f: ScalarField) -> float:
     return float(np.sum(integrand)) * f.grid.spacing**f.grid.dim
 
 
-def entropy_production(
-    f: ScalarField,
-    gamma: float,
-    bundle: CoefficientBundle | None = None,
-    method: str = "gradient",
-    split: "SplitOperator | None" = None,
-) -> float:
+def entropy_production(split: SplitOperator, method: str = "gradient") -> float:
     """
-    Entropy production D(f).  ``gradient`` evaluates the displayed integrand
-    4 (A grad sqrt f, grad sqrt f) - f h with centered gradients (its
-    discretization error does not vanish at the sampled equilibrium);
-    ``collision`` evaluates the equal expression -int Q(f,f) log f with the
-    discrete collision operator, which is exactly zero at the discrete
-    steady state.
+    Entropy production D(f) of the split's density.  ``gradient`` evaluates
+    the displayed integrand 4 (A grad sqrt f, grad sqrt f) - f h with
+    centered gradients (its discretization error does not vanish at the
+    sampled equilibrium); ``collision`` evaluates the equal expression
+    -int Q(f,f) log f with the discrete collision operator, which is exactly
+    zero at the discrete steady state.
     """
-    if bundle is None:
-        bundle = build_coefficients(f, gamma)
+    bundle = split.bundle
+    f = bundle.f
     vol = f.grid.spacing**f.grid.dim
     if method == "gradient":
         root = np.sqrt(np.maximum(f.values, 0.0))
@@ -182,36 +175,54 @@ def entropy_production(
         reaction = float(np.sum(f.values * bundle.h.values)) * vol
         return quad - reaction
     if method == "collision":
-        if split is None:
-            split = make_split_operator(bundle, reference_gaussian(f))
-        q = split.q_divergence(f.values)
+        q = collision_operator(split).values
         pos = f.values > 0
         return -float(np.sum(q[pos] * np.log(f.values[pos]))) * vol
     raise ValueError(f"unknown method {method!r}")
 
 
-def reference_gaussian(f: ScalarField) -> ScalarField:
-    """Gaussian sharing the discrete mass, mean, and energy of ``f`` (strictly positive)."""
+@dataclass
+class Reference:
+    """
+    The reference Gaussian M of a run and what every split operator of the
+    run reads from it: its corner-geometric cell weight, and its temperature
+    and centred velocities taken from the discrete moments of M itself.
+    """
+
+    gaussian: ScalarField
+    cell_weight: np.ndarray
+    temperature: float
+    centred: list[np.ndarray]
+
+
+def reference_gaussian(f: ScalarField) -> Reference:
+    """Reference on the Gaussian sharing the discrete mass, mean, and energy of ``f`` (strictly positive)."""
+    grid = f.grid
     mass, mom, ener = moments(f)
     if mass <= 0:
         raise NonNegativityError("reference state of a massless density")
     mean = mom / mass
-    T = (ener / mass - float(np.dot(mean, mean))) / f.grid.dim
+    T = (ener / mass - float(np.dot(mean, mean))) / grid.dim
     T = max(T, 1e-12)
-    r2 = np.zeros(f.grid.shape)
-    for ax, c in enumerate(f.grid.coords()):
+    r2 = np.zeros(grid.shape)
+    for ax, c in enumerate(grid.coords()):
         r2 = r2 + (c - mean[ax]) ** 2
-    vals = mass * (2.0 * np.pi * T) ** (-f.grid.dim / 2.0) * np.exp(-r2 / (2.0 * T))
+    vals = mass * (2.0 * np.pi * T) ** (-grid.dim / 2.0) * np.exp(-r2 / (2.0 * T))
     # keep strictly positive: the split form divides by this field
-    vals = np.maximum(vals, 1e-290)
-    return ScalarField(f.grid, vals)
+    M = ScalarField(grid, np.maximum(vals, 1e-290))
+    mass, mom, ener = moments(M)
+    mean = mom / mass
+    T = (ener / mass - float(np.dot(mean, mean))) / grid.dim
+    centred = [np.broadcast_to(c, grid.shape) - mean[ax] for ax, c in enumerate(grid.coords())]
+    return Reference(M, cell_corner_geomean(M.values), T, centred)
 
 
 @dataclass
 class SplitOperator:
     """
-    Equilibrium-compatible realization of the divergence form.  With M the
-    moment-matched Gaussian of the evolving density, the exact rewriting
+    Equilibrium-compatible realization of the divergence form at the
+    bundle's density f.  With M the run's reference Gaussian, the exact
+    rewriting
 
         A grad f - f b  =  A M grad(f / M)  -  f (b - A grad log M)
 
@@ -220,75 +231,62 @@ class SplitOperator:
     discrete steady state), the bounded remainder drift through conservative
     face fluxes.  ``matrix`` is the weighted diffusion operator assembled
     once in diagonal storage; the ledger reads it and the implicit solve
-    folds it into its system matrix.
+    folds it into its system matrix.  ``drift_div`` is div(f b_rest) at the
+    bundle's f, shared by the ledger's Q and the step's explicit drift.
     """
 
+    bundle: CoefficientBundle
     diffusion: DiffusionOperator
     mref: ScalarField
     drift_rest: list[np.ndarray]
     matrix: sparse.dia_matrix
-
-    def q_divergence(self, f: np.ndarray) -> np.ndarray:
-        u = f / self.mref.values
-        return (self.matrix @ u.ravel()).reshape(f.shape) - drift_divergence(
-            f, self.drift_rest, self.mref.grid.spacing
-        )
+    drift_div: np.ndarray
 
 
-def make_split_operator(bundle: CoefficientBundle, mref: ScalarField) -> SplitOperator:
+def make_split_operator(bundle: CoefficientBundle, ref: Reference) -> SplitOperator:
     grid = bundle.grid
-    weight = cell_corner_geomean(mref.values)
-    L = DiffusionOperator(bundle.A, bc="flux", cell_weight=weight)
-    mass, mom, ener = moments(mref)
-    mean = mom / mass
-    T = (ener / mass - float(np.dot(mean, mean))) / grid.dim
-    vec = [np.broadcast_to(c, grid.shape) - mean[ax] for ax, c in enumerate(grid.coords())]
-    Av = bundle.A.apply(vec)
-    drift_rest = [bundle.drift[ax].values + Av[ax] / T for ax in range(grid.dim)]
-    return SplitOperator(L, mref, drift_rest, L.matrix())
+    L = DiffusionOperator(bundle.A, bc="flux", cell_weight=ref.cell_weight)
+    Av = bundle.A.apply(ref.centred)
+    drift_rest = [bundle.drift[ax].values + Av[ax] / ref.temperature for ax in range(grid.dim)]
+    drift_div = drift_divergence(bundle.f.values, drift_rest, grid.spacing)
+    return SplitOperator(bundle, L, ref.gaussian, drift_rest, L.matrix(), drift_div)
 
 
-def collision_operator(
-    f: ScalarField, gamma: float, bundle: CoefficientBundle | None = None
-) -> ScalarField:
-    """Q(f, f) in the split divergence form, with symmetric fluxes around the reference Gaussian of f."""
-    if bundle is None:
-        bundle = build_coefficients(f, gamma)
-    split = make_split_operator(bundle, reference_gaussian(f))
-    return ScalarField(f.grid, split.q_divergence(f.values))
+def collision_operator(split: SplitOperator) -> ScalarField:
+    """Q(f, f) of the split's density in the split divergence form, with symmetric fluxes around the reference."""
+    f = split.bundle.f
+    u = f.values / split.mref.values
+    return ScalarField(f.grid, (split.matrix @ u.ravel()).reshape(f.grid.shape) - split.drift_div)
 
 
-def _ledger_row(
-    state: SolverState, stats: StepStats, bundle: CoefficientBundle, split: "SplitOperator"
-) -> LedgerRow:
-    """Row describing ``state`` and the step into it, with coefficients built from ``state``."""
-    mass, mom, ener = moments(state.f)
+def _ledger_row(k: int, time: float, stats: StepStats, split: SplitOperator) -> LedgerRow:
+    """Row describing the split's density at step ``k`` and the step into it."""
+    f = split.bundle.f
+    mass, mom, ener = moments(f)
     return LedgerRow(
-        step=state.step_index,
-        time=state.time,
+        step=k,
+        time=time,
         dt=stats.dt,
         mass=mass,
         momentum=[float(x) for x in mom],
         energy=ener,
-        entropy=entropy(state.f),
-        entropy_production=entropy_production(state.f, state.gamma, bundle),
-        entropy_production_collision=entropy_production(
-            state.f, state.gamma, bundle, method="collision", split=split
-        ),
+        entropy=entropy(f),
+        entropy_production=entropy_production(split),
+        entropy_production_collision=entropy_production(split, method="collision"),
         boundary_flux_leak=stats.leak,
         clipped_mass=stats.clipped_mass,
         negative_nodes=stats.negative_nodes,
-        h_max=float(np.max(bundle.h.values)),
+        h_max=float(np.max(split.bundle.h.values)),
     )
 
 
 def _imex_solve(
-    split: SplitOperator, dt: float, rhs: np.ndarray, tol: float = 1e-10, maxiter: int = 4000
+    split: SplitOperator, dt: float, rhs: np.ndarray, maxiter: int = 4000
 ) -> tuple[np.ndarray, int, float]:
     """
     Solve T u = rhs, T = diag(M) - dt S folded into one matrix, for u = f/M
     by conjugate gradients with the Jacobi preconditioner, from u = rhs/M
-    until ||r|| <= tol ||rhs||.  Returns f = M u, the iteration count and the
+    until ||r|| <= CG_TOL ||rhs||.  Returns f = M u, the iteration count and the
     relative residual the stop rule measured.  The reductions run in einsum,
     never on threaded BLAS; the vector updates run in place.
     """
@@ -305,7 +303,7 @@ def _imex_solve(
     rz = dot(r, z)
     rnorm = math.sqrt(dot(r, r))
     iterations = 0
-    while rnorm > tol * bnorm and iterations < maxiter:
+    while rnorm > CG_TOL * bnorm and iterations < maxiter:
         q = T @ p
         alpha = rz / dot(p, q)
         x += np.multiply(alpha, p, out=scaled)
@@ -316,7 +314,7 @@ def _imex_solve(
         p += z
         rnorm = math.sqrt(dot(r, r))
         iterations += 1
-    if rnorm > tol * bnorm:
+    if rnorm > CG_TOL * bnorm:
         r = b - T @ x
         res = math.sqrt(dot(r, r)) / bnorm
         raise IterationError(
@@ -327,54 +325,38 @@ def _imex_solve(
     return (mref * x).reshape(rhs.shape), iterations, rnorm / bnorm if bnorm else 0.0
 
 
-def step(
-    state: SolverState,
-    dt: float,
-    bundle: CoefficientBundle | None = None,
-    split: SplitOperator | None = None,
-) -> tuple[SolverState, StepStats]:
+def step(split: SplitOperator, dt: float) -> tuple[ScalarField, StepStats]:
     """
-    Advance one step: implicit diffusion with frozen coefficients and
-    explicit drift.  Negative nodes are clipped and counted in the returned
-    stats, never renormalized; the stats also carry the solve's telemetry.
+    Advance the split's density by one step: implicit diffusion with the
+    split's frozen coefficients and explicit drift.  Negative nodes are
+    clipped and counted in the returned stats, never renormalized; the stats
+    also carry the solve's telemetry.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        same = SolverState(state.f.copy(), state.time, state.gamma, state.step_index + 1)
-        return same, StepStats(0.0, 0.0, 0.0, 0, 0, 0.0)
-    if bundle is None:
-        bundle = build_coefficients(state.f, state.gamma)
-    if split is None:
-        split = make_split_operator(bundle, reference_gaussian(state.f))
-    f = state.f.values
-    spacing = state.f.grid.spacing
-    leak = boundary_drift_flux(f, split.drift_rest, spacing) * dt
-    rhs = f - dt * drift_divergence(f, split.drift_rest, spacing)
+    grid = split.bundle.grid
+    f = split.bundle.f.values
+    leak = boundary_drift_flux(f, split.drift_rest, grid.spacing) * dt
+    rhs = f - dt * split.drift_div
     fnew, iterations, residual = _imex_solve(split, dt, rhs)
     neg = fnew < 0
     nneg = int(np.count_nonzero(neg))
     # summing the negated values keeps an unclipped step at +0.0, not -0.0
-    clipped = float(np.sum(-fnew[neg])) * state.f.grid.spacing**state.f.grid.dim
+    clipped = float(np.sum(-fnew[neg])) * grid.spacing**grid.dim
     if nneg:
         fnew = np.where(neg, 0.0, fnew)
-    new = SolverState(
-        ScalarField(state.f.grid, fnew), state.time + dt, state.gamma, state.step_index + 1
-    )
-    return new, StepStats(dt, leak, clipped, nneg, iterations, residual)
+    return ScalarField(grid, fnew), StepStats(dt, leak, clipped, nneg, iterations, residual)
 
 
-def auto_dt(
-    bundle: CoefficientBundle, spacing: float, split: SplitOperator, dt_max: float = math.inf
-) -> float:
+def auto_dt(split: SplitOperator, dt_max: float = math.inf) -> float:
     """Step-size policy: reaction cap 0.1/max(h) and CFL number 0.5 on the explicit drift."""
-    hmax = float(np.max(bundle.h.values))
+    hmax = float(np.max(split.bundle.h.values))
     bmax = max(float(np.max(np.abs(b))) for b in split.drift_rest)
     dt = dt_max
     if hmax > 0:
         dt = min(dt, 0.1 / hmax)
     if bmax > 0:
-        dt = min(dt, 0.5 * spacing / bmax)
+        dt = min(dt, 0.5 * split.bundle.grid.spacing / bmax)
     if not math.isfinite(dt):
         raise GridError("cannot choose a step size for vanishing coefficients")
     return dt
@@ -406,42 +388,42 @@ def simulate(
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride!r}")
     f0.require_density("initial data")
-    state = SolverState(f0.copy(), 0.0, float(gamma), 0)
-    times = [0.0]
-    snaps = [f0.copy()]
+    f, time = f0.copy(), 0.0
+    times = [time]
+    snaps = [f]
     mass0, _, _ = moments(f0)
-    mref = reference_gaussian(f0)  # moments are conserved, so one reference serves the run
+    ref = reference_gaussian(f0)  # moments are conserved, so one reference serves the run
     stats = StepStats(0.0, 0.0, 0.0, 0, 0, 0.0)  # the step into the current state
     ledger: list[LedgerRow] = []
     clipped_total, negatives_max = 0.0, 0
     k = 0
     while True:
-        bundle = build_coefficients(state.f, gamma)
-        split = make_split_operator(bundle, mref)
-        row = _ledger_row(state, stats, bundle, split)
+        split = make_split_operator(build_coefficients(f, gamma), ref)
+        row = _ledger_row(k, time, stats, split)
         ledger.append(row)
         clipped_total += row.clipped_mass
         negatives_max = max(negatives_max, row.negative_nodes)
         if abs(row.mass - mass0) > mass_drift_tol * max(mass0, 1e-300):
             raise ConservationError(
-                f"mass drifted to {row.mass} from {mass0} at t={state.time}; clipping added "
+                f"mass drifted to {row.mass} from {mass0} at t={time}; clipping added "
                 f"{clipped_total:.3g} of mass, with at most {negatives_max} negative nodes in a step",
                 clipped_mass=clipped_total,
                 negative_nodes=negatives_max,
             )
-        if state.time >= t_final - 1e-14:
+        if time >= t_final - 1e-14:
             break
         if dt_fixed is not None:
             dt = dt_fixed
         else:
-            dt = auto_dt(bundle, f0.grid.spacing, split, dt_max=dt_max)
+            dt = auto_dt(split, dt_max=dt_max)
             if t_ramp is not None:
-                dt = min(dt, t_ramp * max(state.time, dt / 4.0))
-        dt = min(dt, t_final - state.time)
-        state, stats = step(state, dt, bundle=bundle, split=split)
-        del bundle, split  # release this step's operator before the next one is built
+                dt = min(dt, t_ramp * max(time, dt / 4.0))
+        dt = min(dt, t_final - time)
+        f, stats = step(split, dt)
+        del split  # release this step's operator before the next one is built
+        time += dt
         k += 1
-        if k % snapshot_stride == 0 or state.time >= t_final - 1e-14:
-            times.append(state.time)
-            snaps.append(state.f.copy())
+        if k % snapshot_stride == 0 or time >= t_final - 1e-14:
+            times.append(time)
+            snaps.append(f)
     return Trajectory(float(gamma), f0.grid, times, snaps, ledger)

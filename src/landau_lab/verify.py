@@ -35,7 +35,7 @@ from .grid import (
 from .operators import dot, nondivergence_apply
 from .poincare import gks_check, verify_eps_poincare
 from .rates import fit_decay, moser_report
-from .solver import collision_operator, simulate
+from .solver import collision_operator, make_split_operator, reference_gaussian, simulate
 from .weights import morrey_ratio, morrey_ratio_family
 
 DEFAULT_SEED = 20260809
@@ -74,7 +74,7 @@ FROZEN = {
     # (measured maxima 1.59 - 1.82 across N = 32 / 64, gamma in [-3, -2])
     "morrey_sweep_bound": 2.0,
     # criterion 5: ratio floor of the near-critical profile relative to the
-    # equilibrium максимум, small cubes at the origin
+    # equilibrium maximum, small cubes at the origin
     "morrey_floor_factor": 0.25,
     # criterion 7: coercivity ratio caps by grid size (continuum value <= 1;
     # measured suite maxima 1.45 / 1.10 / 1.04 / 1.02 at N = 24 / 32 / 48 / 64)
@@ -108,8 +108,9 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(dot(flat, flat))
 
 
-def gate_oracle_equivalence(n=16, gamma=-1.0):
+def gate_oracle_equivalence(n=16):
     grid = make_grid(3, 4.0, n)
+    gamma = -1.0
     f = counterexample_profile(grid, 2.0)
     kinds = ["h", "a"] + [f"A{i}{j}" for i, j in co.matrix_component_pairs(3)] + ["D0", "D1", "D2"]
     t0 = time.perf_counter()
@@ -234,8 +235,8 @@ def gate_equilibrium_refinement(sizes=(16, 24, 32)):
     for n in sizes:
         grid = make_grid(3, 8.0, n)
         M = maxwellian(grid)
-        q = collision_operator(M, -1.0)
-        norms.append(float(np.max(np.abs(q.values))))
+        split = make_split_operator(co.build_coefficients(M, -1.0), reference_gaussian(M))
+        norms.append(float(np.max(np.abs(collision_operator(split).values))))
     orders = [
         math.log(norms[i] / norms[i + 1]) / math.log(sizes[i + 1] / sizes[i])
         for i in range(len(norms) - 1)
@@ -245,7 +246,7 @@ def gate_equilibrium_refinement(sizes=(16, 24, 32)):
         grid = make_grid(3, 8.0, n)
         f = squeezed_gaussian(grid, 0.5, 0.5)
         bundle = co.build_coefficients(f, 0.0)
-        qd = collision_operator(f, 0.0, bundle=bundle).values
+        qd = collision_operator(make_split_operator(bundle, reference_gaussian(f))).values
         qn = nondivergence_apply(bundle.A, bundle.h.values, f.values)
         agree.append(_norm(qd - qn) / _norm(qd))
     agree_orders = [
@@ -261,12 +262,12 @@ def gate_equilibrium_refinement(sizes=(16, 24, 32)):
     return ok, detail, {"norms": norms, "orders": orders, "agreement": agree}
 
 
-def gate_morrey_sweep(n=32, n_random=20, levels=None, seed=DEFAULT_SEED):
+def gate_morrey_sweep(n=32, n_random=20, levels=None):
     grid = make_grid(3, 8.0, n)
     if levels is None:
         levels = 2 if n >= 64 else 1
     cubes = make_dyadic_cubes(grid, 2.0, levels)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for gamma in (-2.0, -2.5, -3.0):
         for _ in range(n_random):
@@ -315,7 +316,7 @@ def gate_poincare_scaling(n=32):
     }
 
 
-def gate_gks(sizes=(24, 32), seed=DEFAULT_SEED):
+def gate_gks(sizes=(24, 32)):
     caps = FROZEN["gks_cap"]
     worst_by_n = {}
     for n in sizes:
@@ -324,13 +325,13 @@ def gate_gks(sizes=(24, 32), seed=DEFAULT_SEED):
             maxwellian(grid),
             squeezed_gaussian(grid, 0.75, 0.5),
             shell_profile(grid, 2.0, 0.5),
-            random_density(grid, np.random.default_rng(seed + 1)),
+            random_density(grid, np.random.default_rng(DEFAULT_SEED + 1)),
         ]
         worst = 0.0
         for f in suite:
             bundle = co.build_coefficients(f, -3.0)
             for p in (1.0, 2.0, 4.0):
-                ratio = gks_check(f, p, bundle)["ratio"]
+                ratio = gks_check(bundle, p)["ratio"]
                 worst = max(worst, ratio)
         worst_by_n[n] = worst
     ns = sorted(worst_by_n)
@@ -341,11 +342,11 @@ def gate_gks(sizes=(24, 32), seed=DEFAULT_SEED):
     return ok, f"{detail}; slack monotone: {monotone}", {"ratios": worst_by_n}
 
 
-def gate_rates(n=32, L=4.0, sigma=0.2, t_final=2.5, band=None):
-    grid = make_grid(3, L, n)
+def gate_rates(n=32, sigma=0.2, band=None):
+    grid = make_grid(3, 4.0, n)
     f0 = squeezed_gaussian(grid, sigma, 0.5)
-    traj = simulate(f0, 0.0, t_final, snapshot_stride=1, t_ramp=0.3, dt_max=0.1)
-    fit = fit_decay(traj, L / 2.0, "main_1", R_sweep=(1.0, 1.5, 2.0, 3.0))
+    traj = simulate(f0, 0.0, 2.5, snapshot_stride=1, t_ramp=0.3, dt_max=0.1)
+    fit = fit_decay(traj, 2.0, "main_1", R_sweep=(1.0, 1.5, 2.0, 3.0))
     ok = fit.residual_rms <= 0.15 and fit.alpha_hat > 0
     if band is not None:
         ok = ok and band[0] <= fit.alpha_hat <= band[1]

@@ -128,7 +128,7 @@ def a1_constant(w: ScalarField, cubes: CubeSet, weight_id: str = "w") -> WeightR
     )
 
 
-def reverse_holder(w: ScalarField, m: float, cubes: CubeSet, weight_id: str = "w") -> WeightReport:
+def reverse_holder(w: ScalarField, m: float, cubes: CubeSet) -> WeightReport:
     """sup over cubes of avg(w^m)^(1/m) / avg(w); all-zero cubes excluded and counted."""
     if m <= 0:
         raise ValueError(f"exponent m must be positive, got {m}")
@@ -144,7 +144,7 @@ def reverse_holder(w: ScalarField, m: float, cubes: CubeSet, weight_id: str = "w
         raise EmptyRegionError("every cube is degenerate for this weight")
     k = int(np.nanargmax(vals))
     return WeightReport(
-        weight_id=weight_id,
+        weight_id="w",
         constant_name=f"RH({m})",
         value=float(vals[k]),
         argmax_cube=k,
@@ -180,7 +180,6 @@ def doubling_constant(
     f: ScalarField,
     radii=(0.25, 0.5, 1.0),
     centers_mask: np.ndarray | None = None,
-    weight_id: str = "f",
 ) -> WeightReport:
     """
     sup over grid centers and radii of the mass ratio of the double ball to
@@ -214,7 +213,7 @@ def doubling_constant(
     if best_where is None:
         raise EmptyRegionError("no admissible (center, radius) pair")
     return WeightReport(
-        weight_id=weight_id,
+        weight_id="f",
         constant_name="C_D",
         value=best,
         argmax_cube=None,

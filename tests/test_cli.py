@@ -146,6 +146,27 @@ def test_simulate_byte_identical_reruns(tmp_path):
         assert sha256_file(out1 / name) == sha256_file(out2 / name), name
 
 
+def test_simulate_diagnostics_toggles(tmp_path):
+    cfg = minimal_config(
+        grid={"dim": 3, "half_extent": 8.0, "points_per_axis": 16},
+        gamma=-1.0,
+        initial_profile={"kind": "squeezed_gaussian", "sigma": 0.5},
+        t_final=0.6,
+        dt={"dt_max": 0.1, "t_ramp": 0.3},
+        diagnostics={"weights": True, "poincare": {"n_epsilons": 4}, "rates": {"R": 4.0}, "moser": {"n_max": 3}},
+    )
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert len((out / "lambda_curve.csv").read_text().splitlines()) == 1 + 4
+    assert json.loads((out / "lambda_manifest.json").read_text())["gamma"] == -1.0
+    assert json.loads((out / "rate_fit.json").read_text())["R"] == 4.0
+    assert len(json.loads((out / "moser.json").read_text())["rows"]) == 1 + 3
+    # the toggled weights report is the one the diagnose command writes for the run
+    diag = tmp_path / "diag"
+    assert cli.main(["diagnose", str(out), "--which", "weights", "--out", str(diag)]) == 0
+    assert (out / "weights.json").read_bytes() == (diag / "weights.json").read_bytes()
+
+
 def test_diagnose_on_field_and_run(tmp_path):
     grid = make_grid(3, 8.0, 12)
     M = maxwellian(grid)

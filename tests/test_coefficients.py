@@ -219,14 +219,15 @@ def test_single_cell_closed_forms():
     gamma = -1.0
     c = co.kernel_constants(3, gamma)
     a = co.a_field(f, gamma)
-    ga = co.build_coefficients(f, gamma).grad_a
+    # grad a = -(2+gamma) b, the identity the drift kernel carries
+    ga = [-(2.0 + gamma) * b.values for b in co.build_coefficients(f, gamma).drift]
     coords = [np.broadcast_to(cc, grid.shape) for cc in grid.coords()]
     dist = np.sqrt(sum((coords[ax] - v0[ax]) ** 2 for ax in range(3)))
     far = dist > 3 * grid.spacing
     expected = c["c_a"] * dist[far] ** (2.0 + gamma)
     assert np.max(np.abs(a.values[far] - expected) / expected) < 1e-12
     # kernel gradients align with v - v0 away from the cell
-    gvec = np.stack([g.values for g in ga])
+    gvec = np.stack(ga)
     dvec = np.stack([coords[ax] - v0[ax] for ax in range(3)])
     cossim = np.sum(gvec * dvec, axis=0) / (
         np.linalg.norm(gvec, axis=0) * np.linalg.norm(dvec, axis=0) + 1e-300
@@ -368,9 +369,10 @@ def test_grad_a_radial_symmetry(bundle16_m1, grid16):
     # symmetrized over the central 2x2x2 block so the evaluation point is 0
     n2 = grid16.points_per_axis // 2
     block = (slice(n2 - 1, n2 + 1),) * 3
-    peak = max(np.max(np.abs(g.values)) for g in bundle16_m1.grad_a)
-    for g in bundle16_m1.grad_a:
-        assert abs(float(np.mean(g.values[block]))) < 1e-12 * peak
+    grad_a = [-(2.0 + bundle16_m1.gamma) * b.values for b in bundle16_m1.drift]
+    peak = max(np.max(np.abs(g)) for g in grad_a)
+    for g in grad_a:
+        assert abs(float(np.mean(g[block]))) < 1e-12 * peak
 
 
 def test_grad_a_matches_finite_differences():
@@ -381,11 +383,11 @@ def test_grad_a_matches_finite_differences():
         vals = np.exp(-grid.radius_squared() * 2.0)
         f = ScalarField(grid, vals / (np.sum(vals) * grid.spacing**3))
         a = co.a_field(f, -1.0)
-        ga = co.build_coefficients(f, -1.0).grad_a[0]
+        ga = -co.build_coefficients(f, -1.0).drift[0].values  # grad a = -(2+gamma) b
         fd = np.gradient(a.values, grid.spacing, axis=0)
         far = grid.radius() > 2.0
         far[0, :, :] = far[-1, :, :] = False  # one-sided boundary rows
-        errs.append(np.max(np.abs(fd[far] - ga.values[far])) / np.max(np.abs(ga.values[far])))
+        errs.append(np.max(np.abs(fd[far] - ga[far])) / np.max(np.abs(ga[far])))
     order = math.log(errs[0] / errs[-1]) / math.log(32 / 16)
     assert order >= 1.8
 
@@ -407,16 +409,16 @@ def test_laplacian_chain_field_level(maxwellian24):
 
 
 def test_comparability_report(maxwellian16):
-    rep = co.comparability_report(maxwellian16, 0.0)
+    rep = co.comparability_report(co.build_coefficients(maxwellian16, 0.0))
     assert rep["c_hat_a_lower"] > 0
     assert rep["c_hat_astar_lower"] > 0
-    rep3 = co.comparability_report(maxwellian16, -3.0)
+    rep3 = co.comparability_report(co.build_coefficients(maxwellian16, -3.0))
     assert np.isfinite(rep3["C_hat_a_vs_astar"])
     assert rep3["a_vs_astar_exponent"] == 2.0
     assert rep3["doubling_constant"] > 1.0
     zero = ScalarField(maxwellian16.grid, np.zeros(maxwellian16.grid.shape))
     with pytest.raises(NonNegativityError):
-        co.comparability_report(zero, -1.0)
+        co.comparability_report(co.build_coefficients(zero, -1.0))
 
 
 def test_tampered_constant_trips_the_chain_check(monkeypatch):

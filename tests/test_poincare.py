@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from landau_lab.coefficients import CoefficientBundle, build_coefficients
-from landau_lab.errors import IterationError, NonNegativityError
+from landau_lab.errors import GammaRangeError, IterationError, NonNegativityError
 from landau_lab.grid import ScalarField, counterexample_profile, make_grid, maxwellian
 from landau_lab.operators import DiffusionOperator
 from landau_lab.poincare import BASIS, gks_check, lambda_curve, verify_eps_poincare
@@ -49,7 +49,10 @@ def bundle12(grid12):
 
 def test_lambda_of_zero_density(grid12):
     zero = ScalarField(grid12, np.zeros(grid12.shape))
-    assert lambda_curve(zero, gamma=-1.0, epsilons=[0.5]).lambdas[0] == 0.0
+    curve = lambda_curve(build_coefficients(zero, -1.0), epsilons=[0.5, 0.1])
+    # the first Lanczos check meets a zero residual: one step and the residual apply
+    assert curve.lambdas == [0.0, 0.0]
+    assert curve.iterations == [2, 2]
 
 
 def test_lambda_monotone_in_epsilon(bundle12):
@@ -120,9 +123,11 @@ def test_lambda_iteration_cap(bundle12, monkeypatch):
 def test_lambda_curve_bytes_independent_of_blas_threads():
     code = (
         "import json\n"
+        "from landau_lab.coefficients import build_coefficients\n"
         "from landau_lab.grid import make_grid, maxwellian\n"
         "from landau_lab.poincare import lambda_curve\n"
-        "curve = lambda_curve(maxwellian(make_grid(3, 8.0, 32)), gamma=0.0, epsilons=[1e-3, 1e-2, 1e-1, 1.0])\n"
+        "bundle = build_coefficients(maxwellian(make_grid(3, 8.0, 32)), 0.0)\n"
+        "curve = lambda_curve(bundle, epsilons=[1e-3, 1e-2, 1e-1, 1.0])\n"
         "print(json.dumps(curve.manifest()))\n"
     )
     blobs = []
@@ -168,12 +173,15 @@ def test_counterexample_lambda_floor(grid12):
 
 def test_gks_basics(grid12):
     zero = ScalarField(grid12, np.zeros(grid12.shape))
-    rep = gks_check(zero, 1.0)
+    rep = gks_check(build_coefficients(zero, -3.0), 1.0)
     assert rep["degenerate"] and np.isnan(rep["ratio"])
     with pytest.raises(NonNegativityError):
-        gks_check(ScalarField(grid12, -np.ones(grid12.shape)), 1.0)
+        gks_check(build_coefficients(ScalarField(grid12, -np.ones(grid12.shape)), -3.0), 1.0)
     with pytest.raises(ValueError):
-        gks_check(maxwellian(grid12), 0.0)
+        gks_check(build_coefficients(maxwellian(grid12), -3.0), 0.0)
+    # the check is the Coulomb one: any other bundle is refused
+    with pytest.raises(GammaRangeError, match="gamma = -3"):
+        gks_check(build_coefficients(maxwellian(grid12), -1.0), 1.0)
 
 
 def test_gks_constant_p1():
@@ -184,7 +192,7 @@ def test_gks_constant_p1():
     b = build_coefficients(M, -3.0)
     from landau_lab.operators import energy_form
 
-    rep = gks_check(M, 1.0, b)
+    rep = gks_check(b, 1.0)
     energy = energy_form(b.A, np.sqrt(M.values))
     assert rep["rhs"] == pytest.approx(4.0 * energy, rel=1e-12)
 
@@ -194,7 +202,7 @@ def test_gks_ratio_decreases_with_resolution():
     for n in (16, 24, 32):
         g = make_grid(3, 8.0, n)
         M = maxwellian(g)
-        ratios.append(gks_check(M, 2.0)["ratio"])
+        ratios.append(gks_check(build_coefficients(M, -3.0), 2.0)["ratio"])
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 1.15
 

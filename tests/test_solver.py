@@ -8,14 +8,19 @@ from landau_lab.errors import NonNegativityError
 from landau_lab.grid import ScalarField, counterexample_profile, make_grid, maxwellian, moments, squeezed_gaussian
 from landau_lab.operators import folded_matrix, nondivergence_apply
 from landau_lab.solver import (
-    SolverState,
     collision_operator,
     entropy,
     entropy_production,
+    make_split_operator,
     reference_gaussian,
     simulate,
     step,
 )
+
+
+def split_of(f, gamma):
+    """The split operator at ``f`` around its own reference Gaussian."""
+    return make_split_operator(build_coefficients(f, gamma), reference_gaussian(f))
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +30,7 @@ from landau_lab.solver import (
 
 def test_interior_supported_divergence_integrates_to_zero(grid16):
     f = counterexample_profile(grid16, 1.0)
-    q = collision_operator(f, -1.0)
+    q = collision_operator(split_of(f, -1.0))
     total = abs(np.sum(q.values)) * grid16.spacing**3
     assert total < 1e-10
 
@@ -36,52 +41,32 @@ def test_collision_forms_agree_under_refinement():
         g = make_grid(3, 8.0, n)
         f = squeezed_gaussian(g, 0.5, 0.5)
         b = build_coefficients(f, 0.0)
-        qd = collision_operator(f, 0.0, bundle=b).values
+        qd = collision_operator(make_split_operator(b, reference_gaussian(f))).values
         qn = nondivergence_apply(b.A, b.h.values, f.values)
         agree.append(np.linalg.norm(qd - qn) / np.linalg.norm(qd))
     order = math.log(agree[0] / agree[1]) / math.log(2)
     assert order >= 1.0
 
 
-def test_step_dt_zero_is_identity(maxwellian16):
-    st = SolverState(maxwellian16.copy(), 0.0, 0.0, 0)
-    new, stats = step(st, 0.0)
-    assert new.step_index == 1
-    assert new.time == 0.0
-    assert np.array_equal(new.f.values, maxwellian16.values)
-    assert (stats.dt, stats.leak, stats.clipped_mass, stats.negative_nodes) == (0.0, 0.0, 0.0, 0)
-    assert (stats.iterations, stats.residual) == (0, 0.0)
-
-
 def test_step_reports_solve_telemetry(grid16):
-    st = SolverState(squeezed_gaussian(grid16, 0.5, 0.5), 0.0, 0.0, 0)
-    _, stats = step(st, 0.05)
+    _, stats = step(split_of(squeezed_gaussian(grid16, 0.5, 0.5), 0.0), 0.05)
     assert 0 < stats.iterations
     assert 0.0 <= stats.residual <= 1e-10
 
 
 def test_maxwellian_stationary_100_steps(grid16):
     M = maxwellian(grid16)
-    st = SolverState(M.copy(), 0.0, 0.0, 0)
-    bundle = build_coefficients(M, 0.0)
-    from landau_lab.solver import make_split_operator
-
-    split = make_split_operator(bundle, reference_gaussian(M))
-    for _ in range(100):
-        st, _ = step(st, 0.01, bundle=bundle, split=split)
-    rel = np.linalg.norm(st.f.values - M.values) / np.linalg.norm(M.values)
+    traj = simulate(M, 0.0, 1.0, dt_fixed=0.01, snapshot_stride=100)
+    assert len(traj.ledger) == 101
+    rel = np.linalg.norm(traj.final.values - M.values) / np.linalg.norm(M.values)
     assert rel <= 1e-3
 
 
 def test_first_step_defect_halves_with_dt(grid16):
     f0 = squeezed_gaussian(grid16, 0.5, 0.5)
-    bundle = build_coefficients(f0, 0.0)
 
     def advance(dt, n):
-        st = SolverState(f0.copy(), 0.0, 0.0, 0)
-        for _ in range(n):
-            st, _ = step(st, dt)
-        return st.f.values
+        return simulate(f0, 0.0, n * dt, dt_fixed=dt).final.values
 
     dt = 0.04
     coarse = advance(dt, 1)
@@ -90,6 +75,28 @@ def test_first_step_defect_halves_with_dt(grid16):
     d1 = np.linalg.norm(coarse - finest)
     d2 = np.linalg.norm(fine - finest)
     assert 1.5 < d1 / d2 < 3.5  # first order in time
+
+
+def test_simulate_builds_reference_once_and_drift_once_per_row(grid16, monkeypatch):
+    from landau_lab import solver
+
+    calls = {"cell_corner_geomean": 0, "drift_divergence": 0}
+
+    def counted(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    traj = simulate(squeezed_gaussian(grid16, 0.5, 0.5), 0.0, 0.2, dt_fixed=0.01)
+    assert len(traj.ledger) == 21  # 20 steps
+    # one reference per run; the ledger's Q and the step's drift share one divergence
+    assert calls == {"cell_corner_geomean": 1, "drift_divergence": 21}
 
 
 def test_simulate_rejects_nonterminating_settings(maxwellian16):
@@ -136,15 +143,16 @@ def test_entropy_values(grid16):
 
 
 def test_entropy_production_forms(maxwellian24):
-    d_grad = entropy_production(maxwellian24, 0.0)
-    d_coll = entropy_production(maxwellian24, 0.0, method="collision")
+    split = split_of(maxwellian24, 0.0)
+    d_grad = entropy_production(split)
+    d_coll = entropy_production(split, method="collision")
     # the collision form vanishes at the discrete equilibrium; the gradient
     # form carries its quadrature floor
     assert abs(d_coll) < 1e-10
     assert abs(d_grad) < 0.2
     # gradient-form floor shrinks under refinement
     g16 = make_grid(3, 8.0, 16)
-    d16 = abs(entropy_production(maxwellian(g16), 0.0))
+    d16 = abs(entropy_production(split_of(maxwellian(g16), 0.0)))
     assert abs(d_grad) < d16
 
 
@@ -160,7 +168,7 @@ def test_entropy_production_nonnegative_on_suite(grid16, rng):
     for f in suite:
         for gamma in (0.0, -1.0, -3.0):
             # derived slack at this resolution (criterion-level gate runs at N=64)
-            assert entropy_production(f, gamma, method="collision") >= -1e-3
+            assert entropy_production(split_of(f, gamma), method="collision") >= -1e-3
 
 
 def _entropy_balance(traj):
@@ -196,11 +204,9 @@ def test_stationary_run_balance(maxwellian16):
 
 
 def _imex_setup(rng):
-    from landau_lab import solver
-
     g = make_grid(3, 4.0, 8)
     M = maxwellian(g)
-    split = solver.make_split_operator(build_coefficients(M, 0.0), reference_gaussian(M))
+    split = split_of(M, 0.0)
     rhs = M.values * rng.uniform(0.5, 1.5, size=g.shape)
     return split, rhs
 
