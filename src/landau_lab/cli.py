@@ -68,6 +68,8 @@ def parse_config(raw: dict) -> dict:
             return default
 
     cfg["dim"] = need("grid.dim", _integer)
+    if cfg["dim"] is not None and cfg["dim"] != 3:
+        problems.append(f"field 'grid.dim' must be 3, got {cfg['dim']}")
     cfg["half_extent"] = need("grid.half_extent", float)
     if cfg["half_extent"] is not None and not 0 < cfg["half_extent"] < np.inf:
         problems.append(f"field 'grid.half_extent' must be finite and > 0, got {cfg['half_extent']}")

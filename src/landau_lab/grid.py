@@ -378,8 +378,8 @@ def read_field(path) -> ScalarField:
     if len(blob) < 28 or blob[:4] != _SNAPSHOT_MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic string")
     dim, n, L = struct.unpack("<qqd", blob[4:28])
-    if dim < 1 or n < 4:
-        raise SnapshotFormatError(f"{path}: nonsensical header (dim={dim}, N={n})")
+    if dim != 3 or n < 4:
+        raise SnapshotFormatError(f"{path}: unsupported header (dim={dim}, N={n}); need dim 3 and N >= 4")
     expected = 28 + 8 * n**dim
     if len(blob) != expected:
         raise SnapshotFormatError(

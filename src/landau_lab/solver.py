@@ -9,9 +9,14 @@ ledger row and the step both read; nothing below ``simulate`` rebuilds
 either.  The stepper freezes the nonlocal coefficients at the step start,
 treats diffusion implicitly and the drift explicitly.  The diffusion
 operator is assembled once per step in diagonal storage, straight from its
-13-point stencil; the implicit system diag(M) - dt S is folded into one
-matrix with the same diagonals and solved by Jacobi-preconditioned conjugate
-gradients, whose iterations and residual each step reports.  Zero flux
+13-point stencil; the implicit system T = diag(M) - dt S is folded into one
+matrix with the same diagonals and solved in two precisions: an outer
+refinement loop keeps the residual in float64 and stops on it, and each of
+its passes runs conjugate gradients in float32 on the Jacobi-scaled copy
+diag(T)^(-1/2) T diag(T)^(-1/2).  The scaling is what makes float32 usable:
+T's diagonal follows the reference Gaussian down below float32's range,
+while the scaled matrix has a unit diagonal.  Each step reports the float32
+iterations, the outer passes and the final float64 residual.  Zero flux
 through the truncation boundary keeps the lattice mass constant to solver
 tolerance, and negative nodes are clipped to zero with the clipped mass
 logged, never silently renormalized.
@@ -40,7 +45,8 @@ from .operators import (
 )
 
 
-CG_TOL = 1e-10  # relative residual at which the implicit solve stops
+CG_TOL = 1e-10  # relative float64 residual at which the implicit solve stops
+INNER_TOL = 1e-3  # relative residual at which each float32 refinement pass stops
 
 
 class ConservationError(LandauLabError, RuntimeError):
@@ -115,8 +121,8 @@ class LedgerRow:
 class StepStats:
     """
     What a step did besides advancing f: its size, the drift flux out of the
-    box, the clipping, and the implicit solve's iteration count and final
-    relative residual.
+    box, the clipping, and the implicit solve's float32 iteration count,
+    final float64 relative residual and number of refinement passes.
     """
 
     dt: float
@@ -125,6 +131,7 @@ class StepStats:
     negative_nodes: int
     iterations: int
     residual: float
+    passes: int
 
 
 @dataclass
@@ -280,48 +287,84 @@ def _ledger_row(k: int, time: float, stats: StepStats, split: SplitOperator) -> 
     )
 
 
+def _cg32(S: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, int]:
+    """
+    Plain conjugate gradients on the float32 system S y = b, ||b|| = 1, from
+    y = 0 until ||b - S y|| <= INNER_TOL or ``maxiter`` iterations.  Returns
+    y and the iteration count.  The reductions run in einsum, the vector
+    updates in place and in float32.
+    """
+    y = np.zeros_like(b)
+    r = b.copy()
+    p = b.copy()
+    scaled = np.empty_like(b)
+    rr = dot(r, r)
+    iterations = 0
+    while rr > INNER_TOL**2 and iterations < maxiter:
+        q = S @ p
+        alpha = rr / dot(p, q)
+        y += np.multiply(alpha, p, out=scaled)
+        r -= np.multiply(alpha, q, out=scaled)
+        rr, rr_prev = dot(r, r), rr
+        p *= rr / rr_prev
+        p += r
+        iterations += 1
+    return y, iterations
+
+
 def _imex_solve(
-    split: SplitOperator, dt: float, rhs: np.ndarray, maxiter: int = 4000
+    split: SplitOperator,
+    dt: float,
+    rhs: np.ndarray,
+    maxiter: int = 4000,
+    pass_iterations: list[int] | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """
     Solve T u = rhs, T = diag(M) - dt S folded into one matrix, for u = f/M
-    by conjugate gradients with the Jacobi preconditioner, from u = rhs/M
-    until ||r|| <= CG_TOL ||rhs||.  Returns f = M u, the iteration count and the
-    relative residual the stop rule measured.  The reductions run in einsum,
-    never on threaded BLAS; the vector updates run in place.
+    by iterative refinement in two precisions, from u = rhs/M until
+    ||r|| <= CG_TOL ||rhs|| for the float64 residual r = rhs - T u.
+
+    Each outer pass solves the Jacobi-scaled correction system
+    S32 y = (w r)/||w r||, with w = diag(T)^(-1/2) and S32 = diag(w) T diag(w)
+    stored in float32, by ``_cg32`` and adds ||w r|| w y to u.  S32 has a unit
+    diagonal and entries bounded by 1, so the float32 copy holds the system
+    although diag(T) itself lies below float32's range in the tail of a wide
+    box (3e-40 at the corners of an N=32, L=8 box at dt=0.01).  ``maxiter``
+    caps the float32 iterations of all passes together; the cap, or a pass
+    that does not lower ||r||, raises ``IterationError`` with the float64
+    residual and the iterate.  Returns f = M u, the float32 iteration count
+    and the relative residual the stop rule measured; ``pass_iterations``, if
+    given, receives each pass's iteration count.
     """
     mref = split.mref.values.ravel()
     T = folded_matrix(split.matrix, mref, -dt)
+    w = 1.0 / np.sqrt(T.diagonal())
+    S32 = folded_matrix(split.matrix, mref, -dt, w, np.float32)
     b = rhs.ravel()
-    inv_diag = 1.0 / T.diagonal()
     bnorm = math.sqrt(dot(b, b))
     x = b / mref
     r = b - T @ x
-    z = inv_diag * r
-    p = z.copy()
-    scaled = np.empty_like(p)
-    rz = dot(r, z)
     rnorm = math.sqrt(dot(r, r))
     iterations = 0
-    while rnorm > CG_TOL * bnorm and iterations < maxiter:
-        q = T @ p
-        alpha = rz / dot(p, q)
-        x += np.multiply(alpha, p, out=scaled)
-        r -= np.multiply(alpha, q, out=scaled)
-        np.multiply(inv_diag, r, out=z)
-        rz, rz_prev = dot(r, z), rz
-        p *= rz / rz_prev
-        p += z
-        rnorm = math.sqrt(dot(r, r))
-        iterations += 1
-    if rnorm > CG_TOL * bnorm:
-        r = b - T @ x
-        res = math.sqrt(dot(r, r)) / bnorm
-        raise IterationError(
-            f"implicit diffusion solve failed after {iterations} iterations (relative residual {res:.3g})",
-            residual=res,
-            iterate=x.reshape(rhs.shape),
-        )
+    while not rnorm <= CG_TOL * bnorm:  # a nan residual enters, then fails as a stall
+        previous = rnorm
+        if iterations < maxiter:
+            s = w * r
+            snorm = math.sqrt(dot(s, s))
+            y, count = _cg32(S32, (s / snorm).astype(np.float32), maxiter - iterations)
+            iterations += count
+            if pass_iterations is not None:
+                pass_iterations.append(count)
+            x += snorm * (w * y)
+            r = b - T @ x
+            rnorm = math.sqrt(dot(r, r))
+        if not rnorm < previous:
+            res = rnorm / bnorm
+            raise IterationError(
+                f"implicit diffusion solve failed after {iterations} iterations (relative residual {res:.3g})",
+                residual=res,
+                iterate=x.reshape(rhs.shape),
+            )
     return (mref * x).reshape(rhs.shape), iterations, rnorm / bnorm if bnorm else 0.0
 
 
@@ -338,14 +381,15 @@ def step(split: SplitOperator, dt: float) -> tuple[ScalarField, StepStats]:
     f = split.bundle.f.values
     leak = boundary_drift_flux(f, split.drift_rest, grid.spacing) * dt
     rhs = f - dt * split.drift_div
-    fnew, iterations, residual = _imex_solve(split, dt, rhs)
+    passes: list[int] = []
+    fnew, iterations, residual = _imex_solve(split, dt, rhs, pass_iterations=passes)
     neg = fnew < 0
     nneg = int(np.count_nonzero(neg))
     # summing the negated values keeps an unclipped step at +0.0, not -0.0
     clipped = float(np.sum(-fnew[neg])) * grid.spacing**grid.dim
     if nneg:
         fnew = np.where(neg, 0.0, fnew)
-    return ScalarField(grid, fnew), StepStats(dt, leak, clipped, nneg, iterations, residual)
+    return ScalarField(grid, fnew), StepStats(dt, leak, clipped, nneg, iterations, residual, len(passes))
 
 
 def auto_dt(split: SplitOperator, dt_max: float = math.inf) -> float:
@@ -393,7 +437,7 @@ def simulate(
     snaps = [f]
     mass0, _, _ = moments(f0)
     ref = reference_gaussian(f0)  # moments are conserved, so one reference serves the run
-    stats = StepStats(0.0, 0.0, 0.0, 0, 0, 0.0)  # the step into the current state
+    stats = StepStats(0.0, 0.0, 0.0, 0, 0, 0.0, 0)  # the step into the current state
     ledger: list[LedgerRow] = []
     clipped_total, negatives_max = 0.0, 0
     k = 0

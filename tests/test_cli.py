@@ -81,6 +81,13 @@ def test_parse_config_rejects_non_integers():
     assert type(ok["points_per_axis"]) is int
 
 
+def test_parse_config_rejects_other_dimensions():
+    for dim in (2, 4):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(minimal_config(grid={"dim": dim, "half_extent": 8.0, "points_per_axis": 12}))
+        assert err.value.problems == [f"field 'grid.dim' must be 3, got {dim}"]
+
+
 def test_parse_config_rejects_non_finite_half_extent():
     for bad in (float("nan"), float("inf"), 0.0):
         cfg = minimal_config(grid={"dim": 3, "half_extent": bad, "points_per_axis": 12}, gamma=-5.0)

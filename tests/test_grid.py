@@ -244,3 +244,12 @@ def test_snapshot_format_errors(tmp_path, grid16):
     truncated.write_bytes(blob[:-16])
     with pytest.raises(SnapshotFormatError):
         read_field(truncated)
+
+
+def test_snapshot_of_another_dimension_rejected(tmp_path):
+    # a consistent 2-d file: only its dimension is wrong
+    g = make_grid(2, 8.0, 16)
+    path = tmp_path / "plane.llf"
+    write_field(path, ScalarField(g, np.ones(g.shape)))
+    with pytest.raises(SnapshotFormatError, match="dim=2"):
+        read_field(path)
