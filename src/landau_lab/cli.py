@@ -125,7 +125,7 @@ def load_config(path) -> dict:
     return parse_config(raw)
 
 
-def build_profile(grid, prof: dict, rng: np.random.Generator) -> ScalarField:
+def build_profile(grid, prof: dict) -> ScalarField:
     kind = prof["kind"]
     if kind == "maxwellian":
         return maxwellian(grid)
@@ -144,7 +144,7 @@ def _write_trajectory(traj: Trajectory, out_dir, cfg: dict):
     os.makedirs(out_dir, exist_ok=True)
     write_csv(
         os.path.join(out_dir, "ledger.csv"),
-        LedgerRow.header(traj.grid.dim),
+        LedgerRow.header(),
         [row.as_list() for row in traj.ledger],
     )
     snap_names = []
@@ -158,7 +158,7 @@ def _write_trajectory(traj: Trajectory, out_dir, cfg: dict):
         "grid": list(traj.grid.key()),
         "scheme": cfg["scheme"],
         "snapshots": snap_names,
-        "constants": coeff.kernel_constants(traj.grid.dim, traj.gamma),
+        "constants": coeff.kernel_constants(traj.gamma),
         "hashes": {},
         "format": {"ledger": "csv", "snapshot": "LLF1"},
     }
@@ -177,8 +177,7 @@ def load_trajectory(run_dir) -> Trajectory:
         snaps.append(read_field(os.path.join(run_dir, entry["file"])))
         times.append(float(entry["time"]))
     with open(os.path.join(run_dir, "ledger.csv"), newline="") as fh:
-        dim = snaps[0].grid.dim
-        ledger = [LedgerRow.from_csv(record, dim) for record in csv.DictReader(fh)]
+        ledger = [LedgerRow.from_csv(record) for record in csv.DictReader(fh)]
     return Trajectory(float(manifest["gamma"]), snaps[0].grid, times, snaps, ledger)
 
 
@@ -186,9 +185,8 @@ def cmd_simulate(config_path, out_dir, seed: int | None = None) -> str:
     cfg = load_config(config_path)
     if seed is not None:
         cfg["seed"] = seed
-    rng = np.random.default_rng(cfg["seed"])
     grid = make_grid(cfg["dim"], cfg["half_extent"], cfg["points_per_axis"])
-    f0 = build_profile(grid, cfg["initial_profile"], rng)
+    f0 = build_profile(grid, cfg["initial_profile"])
     traj = simulate(
         f0,
         cfg["gamma"],
@@ -293,7 +291,7 @@ def _diagnose_coefficients(f: ScalarField, gamma: float, out_dir):
         os.path.join(out_dir, "coefficients.json"),
         {
             "gamma": gamma,
-            "constants": coeff.kernel_constants(f.grid.dim, gamma),
+            "constants": coeff.kernel_constants(gamma),
             "comparability": rep,
             "fields": files,
         },

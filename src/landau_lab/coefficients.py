@@ -2,7 +2,8 @@
 Nonlocal coefficient fields of the collision operator and their closed-form
 test oracles.
 
-For a density f and exponent gamma in [-d, 0] the diffusion matrix is
+For a density f on R^d, d = 3, and exponent gamma in [-d, 0] the diffusion
+matrix is
 
     A(v) = C_A(d, gamma) * int |v-w|^(2+gamma) Pi(v-w) f(w) dw,
 
@@ -71,47 +72,35 @@ def set_fft_workers(n: int):
     _DEF_WORKERS = max(1, int(n))
 
 
-def _check_gamma(dim: int, gamma: float) -> float:
+def _check_gamma(gamma: float) -> float:
     g = float(gamma)
-    if not -dim <= g <= 0:
-        raise GammaRangeError(f"gamma must lie in [-{dim}, 0], got {g}")
+    if not -3 <= g <= 0:
+        raise GammaRangeError(f"gamma must lie in [-3, 0], got {g}")
     return g
 
 
-def sphere_area(dim: int) -> float:
-    """Surface measure of the unit sphere S^(d-1)."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
-def riesz_constant(dim: int, order: float) -> float:
-    """Kernel constant c with (-Delta)^(-order/2) f = c * (f conv |z|^(order-d)), 0 < order < d."""
-    if not 0 < order < dim:
-        raise ValueError(f"Riesz order must lie in (0, {dim}), got {order}")
-    return math.gamma((dim - order) / 2.0) / (
-        2.0**order * math.pi ** (dim / 2.0) * math.gamma(order / 2.0)
-    )
-
-
-def kernel_constants(dim: int, gamma: float) -> dict[str, float]:
+def kernel_constants(gamma: float) -> dict[str, float]:
     """
-    Normalization constants of the coefficient bundle at (d, gamma).
+    Normalization constants of the coefficient bundle at gamma, in d = 3.
 
     Returns C_A (matrix kernel), c_a (trace kernel), c_h (reaction kernel),
     c_drift and c_grad_a (vector kernels z|z|^gamma).
     """
-    if dim != 3:
-        raise GridError(f"the coefficient engine is implemented for d = 3, got d = {dim}")
-    g = _check_gamma(dim, gamma)
-    if g == -dim:
-        C_A = 1.0 / ((dim - 1) * sphere_area(dim))
+    g = _check_gamma(gamma)
+    if g == -3:
+        C_A = 1.0 / (8.0 * math.pi)  # 1 / ((d-1) |S^2|), |S^2| = 4 pi
         c_h = 1.0  # h is f itself
     elif g == 0.0:
-        C_A = 1.0 / (dim * (dim - 1))
+        C_A = 1.0 / 6
         c_h = 1.0  # h is the mass
     else:
-        c_h = riesz_constant(dim, dim + g)
-        C_A = c_h / ((dim - 1) * (dim + g))
-    c_a = (dim - 1) * C_A
+        # Riesz constant of order s = 3 + gamma: (-Delta)^(-s/2) f = c_h (f conv |z|^gamma)
+        s = 3 + g
+        if not s < 3:  # 3 + gamma rounds to 3 for gamma within 2.3e-16 of 0
+            raise ValueError(f"Riesz order must lie in (0, 3), got {s}")
+        c_h = math.gamma((3 - s) / 2.0) / (2.0**s * math.pi**1.5 * math.gamma(s / 2.0))
+        C_A = c_h / (2 * s)
+    c_a = 2 * C_A
     return {
         "C_A": C_A,
         "c_a": c_a,
@@ -158,14 +147,10 @@ def unit_cell_power_average(p: float) -> float:
 # kernel tables on the offset lattice
 # ---------------------------------------------------------------------------
 
-_COMPONENT_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
-def matrix_component_pairs(dim: int) -> list[tuple[int, int]]:
-    """Upper-triangle index pairs of a symmetric d x d matrix; matrix fields are d = 3 only."""
-    if dim != 3:
-        raise GridError(f"matrix fields are implemented for d = 3, got d = {dim}")
-    return _COMPONENT_PAIRS
+#: upper-triangle index pairs of a symmetric 3 x 3 matrix, in storage order
+COMPONENT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+#: storage row of component (i, j), in either index order
+COMPONENT_ROW = {(a, b): k for k, (i, j) in enumerate(COMPONENT_PAIRS) for a, b in ((i, j), (j, i))}
 
 
 def kernel_point_values(
@@ -334,7 +319,7 @@ def _moment_convolve(f: ScalarField, kinds: list[str]) -> list[np.ndarray]:
     M = {(i, i): float(np.einsum("i,i,i->", marg[i], y[i], y[i])) for i in range(3)}
     M.update({(i, j): float(np.einsum("ij,i,j->", m, y[i], y[j])) for (i, j), m in marg2.items()})
     x = [c - uk for c, uk in zip(grid.coords(), u)]  # broadcastable v - u
-    G = {(i, j): m0 * x[i] * x[j] - x[i] * P[j] - x[j] * P[i] + M[i, j] for i, j in _COMPONENT_PAIRS}
+    G = {(i, j): m0 * x[i] * x[j] - x[i] * P[j] - x[j] * P[i] + M[i, j] for i, j in COMPONENT_PAIRS}
     out = []
     for kind in kinds:
         if kind == "h":
@@ -425,21 +410,17 @@ def direct_convolve_many(f: ScalarField, gamma: float, kinds: list[str]) -> list
 
 @dataclass
 class MatrixField:
-    """Symmetric d x d matrix per node, stored as the upper triangle."""
+    """Symmetric 3 x 3 matrix per node, stored as the upper triangle in ``COMPONENT_PAIRS`` order."""
 
     grid: VelocityGrid
-    comps: np.ndarray  # shape (d(d+1)/2, N, ..., N)
+    comps: np.ndarray  # shape (6, N, N, N)
 
     def __post_init__(self):
-        pairs = matrix_component_pairs(self.grid.dim)
-        if self.comps.shape != (len(pairs),) + self.grid.shape:
+        if self.comps.shape != (len(COMPONENT_PAIRS),) + self.grid.shape:
             raise GridError("matrix component array has the wrong shape")
 
     def component(self, i: int, j: int) -> np.ndarray:
-        pairs = matrix_component_pairs(self.grid.dim)
-        if i > j:
-            i, j = j, i
-        return self.comps[pairs.index((i, j))]
+        return self.comps[COMPONENT_ROW[i, j]]
 
     def trace(self) -> np.ndarray:
         return sum(self.component(i, i) for i in range(self.grid.dim))
@@ -517,10 +498,10 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 def h_field(f: ScalarField, gamma: float) -> ScalarField:
     """Reaction coefficient: f itself at gamma = -d, else c_h * (f conv |z|^gamma)."""
-    g = _check_gamma(f.grid.dim, gamma)
+    g = _check_gamma(gamma)
     f.require_density("h_field input")
-    consts = kernel_constants(f.grid.dim, g)
-    if g == -f.grid.dim:
+    consts = kernel_constants(g)
+    if g == -3:
         return f.copy()
     (conv,) = fft_convolve(f, g, ["h"])
     return ScalarField(f.grid, consts["c_h"] * conv)
@@ -528,19 +509,19 @@ def h_field(f: ScalarField, gamma: float) -> ScalarField:
 
 def a_field(f: ScalarField, gamma: float) -> ScalarField:
     """Trace coefficient c_a * (f conv |z|^(2+gamma)); Newtonian potential at gamma = -d."""
-    g = _check_gamma(f.grid.dim, gamma)
+    g = _check_gamma(gamma)
     f.require_density("a_field input")
-    consts = kernel_constants(f.grid.dim, g)
+    consts = kernel_constants(g)
     (conv,) = fft_convolve(f, g, ["a"])
     return ScalarField(f.grid, consts["c_a"] * conv)
 
 
 def matrix_field(f: ScalarField, gamma: float) -> MatrixField:
     """Diffusion matrix A alone: the six A kinds of ``build_coefficients``, without h and the drift."""
-    g = _check_gamma(f.grid.dim, gamma)
+    g = _check_gamma(gamma)
     f.require_density("matrix_field input")
-    consts = kernel_constants(f.grid.dim, g)
-    kinds = [f"A{i}{j}" for i, j in matrix_component_pairs(f.grid.dim)]
+    consts = kernel_constants(g)
+    kinds = [f"A{i}{j}" for i, j in COMPONENT_PAIRS]
     return MatrixField(f.grid, np.stack([consts["C_A"] * c for c in fft_convolve(f, g, kinds)]))
 
 
@@ -578,20 +559,19 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     ``fft_convolve`` call: one forward FFT for gamma < 0, the moments of f at
     gamma = 0.  a* follows on first read.
     """
-    g = _check_gamma(f.grid.dim, gamma)
+    g = _check_gamma(gamma)
     f.require_density("density")
-    consts = kernel_constants(f.grid.dim, g)
-    pairs = matrix_component_pairs(f.grid.dim)
-    kinds = [f"A{i}{j}" for i, j in pairs] + [f"D{i}" for i in range(f.grid.dim)]
-    if g != -f.grid.dim:
+    consts = kernel_constants(g)
+    kinds = [f"A{i}{j}" for i, j in COMPONENT_PAIRS] + [f"D{i}" for i in range(f.grid.dim)]
+    if g != -3:
         kinds.append("h")
     convs = fft_convolve(f, g, kinds)
-    nA = len(pairs)
+    nA = len(COMPONENT_PAIRS)
     comps = np.stack([consts["C_A"] * c for c in convs[:nA]])
     A = MatrixField(f.grid, comps)
     dvec = convs[nA : nA + f.grid.dim]
     drift = [ScalarField(f.grid, consts["c_drift"] * c) for c in dvec]
-    if g == -f.grid.dim:
+    if g == -3:
         h = f.copy()
     else:
         h = ScalarField(f.grid, consts["c_h"] * convs[-1])
@@ -651,15 +631,15 @@ def comparability_report(bundle: CoefficientBundle) -> dict:
     return report
 
 
-def verify_constant_chain(dim: int, gamma: float) -> dict:
+def verify_constant_chain(gamma: float) -> dict:
     """
     Independent check of the normalization chain: numerically differentiate
     the trace kernel c_a |z|^(2+gamma) with high-order finite differences and
     compare -Delta against laplace_factor * c_h |z|^gamma at 7 radii in
     [0.8, 3].  Catches any tampering with the constants.
     """
-    consts = kernel_constants(dim, gamma)
-    if gamma in (-dim,):
+    consts = kernel_constants(gamma)
+    if gamma == -3:
         # distributional identity; check the drift/trace ratio instead
         return {"max_rel_err": 0.0, "checked": "drift-ratio", **consts}
     errs = []
@@ -682,7 +662,7 @@ def verify_constant_chain(dim: int, gamma: float) -> dict:
             - 8 * aval(r - step)
             + aval(r - 2 * step)
         ) / (12 * step)
-        lap = f2 + (dim - 1) / r * f1
+        lap = f2 + 2 / r * f1
         target = consts["laplace_factor"] * consts["c_h"] * r**gamma
         denom = abs(target) if target != 0 else 1.0
         errs.append(abs(-lap - target) / denom)

@@ -35,12 +35,12 @@ _SNAPSHOT_MAGIC = b"LLF1"
 @dataclass(frozen=True)
 class VelocityGrid:
     """
-    Uniform cell-centered lattice on [-L, L]^d.
+    Uniform cell-centered lattice on [-L, L]^3.
 
     Attributes
     ----------
     dim : int
-        Spatial dimension d >= 1.
+        Spatial dimension d; the lattice is three-dimensional, so d = 3.
     half_extent : float
         Finite domain half width L > 0.
     points_per_axis : int
@@ -52,8 +52,8 @@ class VelocityGrid:
     points_per_axis: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise GridError(f"dim must be >= 1, got {self.dim}")
+        if self.dim != 3:
+            raise GridError(f"the velocity lattice is three-dimensional, got d = {self.dim}")
         if not 0 < self.half_extent < np.inf:  # NaN compares false both ways
             raise GridError(f"half_extent must be finite and > 0, got {self.half_extent}")
         n = self.points_per_axis
@@ -181,14 +181,12 @@ class CubeSet:
         return sum(len(a) for a in self.anchors)
 
 
-def make_grid(
-    dim: int, half_extent: float, points_per_axis: int, node_cap: int = DEFAULT_NODE_CAP
-) -> VelocityGrid:
-    """Build a cell-centered velocity lattice, rejecting odd N and oversized requests."""
+def make_grid(dim: int, half_extent: float, points_per_axis: int) -> VelocityGrid:
+    """Build a cell-centered velocity lattice, rejecting d != 3, odd N and oversized requests."""
     g = VelocityGrid(dim, float(half_extent), int(points_per_axis))
-    if g.n_nodes > node_cap:
+    if g.n_nodes > DEFAULT_NODE_CAP:
         raise MemoryCapError(
-            f"lattice with {g.n_nodes} nodes exceeds the cap of {node_cap}"
+            f"lattice with {g.n_nodes} nodes exceeds the cap of {DEFAULT_NODE_CAP}"
         )
     return g
 

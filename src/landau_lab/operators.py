@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 from scipy import sparse
 
-from .coefficients import MatrixField, matrix_component_pairs
+from .coefficients import COMPONENT_ROW, MatrixField
 from .grid import ScalarField, VelocityGrid
 
 
@@ -175,9 +175,7 @@ class DiffusionOperator:
             raise ValueError(f"unknown boundary treatment {bc!r}")
         self.grid: VelocityGrid = A.grid
         self.bc = bc
-        self.dim = A.grid.dim
         self.spacing = A.grid.spacing
-        self.pairs = matrix_component_pairs(self.dim)
         if bc == "flux":
             comps = A.comps
         else:
@@ -187,15 +185,9 @@ class DiffusionOperator:
             if cell_weight.shape != self._abar[0].shape:
                 raise ValueError("cell_weight must live on forward cells")
             self._abar = self._abar * cell_weight
-        self._pair_index = {p: k for k, p in enumerate(self.pairs)}
-
-    def _abar_comp(self, i: int, j: int) -> np.ndarray:
-        if i > j:
-            i, j = j, i
-        return self._abar[self._pair_index[(i, j)]]
 
     def _cell_gradients(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        d, h = self.dim, self.spacing
+        d, h = self.grid.dim, self.spacing
         base = tuple(slice(0, -1) for _ in range(d))
         far = tuple(slice(1, None) for _ in range(d))
         gp, gm = [], []
@@ -209,7 +201,7 @@ class DiffusionOperator:
         return gp, gm
 
     def _scatter(self, out: np.ndarray, flux: np.ndarray, ax: int, corner: str):
-        d, h = self.dim, self.spacing
+        d, h = self.grid.dim, self.spacing
         if corner == "base":
             lo = tuple(slice(0, -1) for _ in range(d))
             hi = list(lo)
@@ -227,11 +219,11 @@ class DiffusionOperator:
         if self.bc == "dirichlet":
             x = np.pad(x, 1)
         gp, gm = self._cell_gradients(x)
-        d = self.dim
+        d = self.grid.dim
         out = np.zeros_like(x)
         for i in range(d):
-            flux_p = sum(self._abar_comp(i, j) * gp[j] for j in range(d))
-            flux_m = sum(self._abar_comp(i, j) * gm[j] for j in range(d))
+            flux_p = sum(self._abar[COMPONENT_ROW[i, j]] * gp[j] for j in range(d))
+            flux_m = sum(self._abar[COMPONENT_ROW[i, j]] * gm[j] for j in range(d))
             self._scatter(out, flux_p, i, "base")
             self._scatter(out, flux_m, i, "far")
         out *= -0.5
@@ -251,7 +243,7 @@ class DiffusionOperator:
         cells.  Couplings that leave the lattice (Dirichlet ghost layer
         included) are stored as zeros.
         """
-        d, h = self.dim, self.spacing
+        d, h = self.grid.dim, self.spacing
         n = self.grid.points_per_axis
         # cells padded with a zero layer: node p reads cell p + s, s in {-1, 0}^d
         cells = np.pad(self._abar, [(0, 0)] + [(1, 1)] * d)
@@ -259,7 +251,7 @@ class DiffusionOperator:
         core = 1 if self.bc == "dirichlet" else 0
 
         def at(i, j, shift):  # a_ij of cell p + shift, on every node p
-            comp = cells[self._pair_index[(min(i, j), max(i, j))]]
+            comp = cells[COMPONENT_ROW[i, j]]
             return comp[tuple(slice(s + 1 + core, s + 1 + m - core) for s in shift)]
 
         zero, down = (0,) * d, (-1,) * d

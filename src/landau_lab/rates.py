@@ -63,11 +63,14 @@ def linf_history(traj: Trajectory, R: float) -> tuple[np.ndarray, np.ndarray]:
     return times, sups
 
 
+#: the conditional Coulomb regime's exponent s, in alpha = 1 + s and beta = s
+S_EXPONENT = 0.5
+
 PREDICTED_EXPONENTS = {
-    # time exponent alpha in sup <= C (1 + 1/t)^alpha, ball exponent beta in R^beta
-    "main_1": lambda d, gamma, s: (d / 2.0, -gamma * d / 2.0),
-    "very_soft": lambda d, gamma, s: (d / 2.0, -gamma * d / 2.0),
-    "coulomb": lambda d, gamma, s: (1.0 + s, s),
+    # time exponent alpha in sup <= C (1 + 1/t)^alpha, ball exponent beta in R^beta, d = 3
+    "main_1": lambda gamma: (3 / 2.0, -gamma * 3 / 2.0),
+    "very_soft": lambda gamma: (3 / 2.0, -gamma * 3 / 2.0),
+    "coulomb": lambda gamma: (1.0 + S_EXPONENT, S_EXPONENT),
 }
 
 
@@ -91,7 +94,6 @@ def fit_decay(
     R: float,
     theorem_id: str = "main_1",
     R_sweep=(2.0, 3.0, 4.0, 6.0),
-    s_exponent: float = 0.5,
     hypothesis_flags: dict | None = None,
 ) -> RateFit:
     """
@@ -138,9 +140,7 @@ def fit_decay(
     alpha_hat = float(coef[0])
     amp = float(math.exp(coef[1]))
     rms = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    alpha_pred, beta_pred = PREDICTED_EXPONENTS[theorem_id](
-        traj.grid.dim, traj.gamma, s_exponent
-    )
+    alpha_pred, beta_pred = PREDICTED_EXPONENTS[theorem_id](traj.gamma)
     beta_hat = None
     if R_sweep:
         amps = []
@@ -176,12 +176,12 @@ def fit_decay(
     )
 
 
-def moser_schedule(n_max: int, T: float, R: float, dim: int = 3) -> list[dict]:
-    """Iteration times, radii, and exponents: T_n = (2 - 2^-n) T/4, R_n = (1 + 2^-n) R/2."""
+def moser_schedule(n_max: int, T: float, R: float) -> list[dict]:
+    """Iteration times, radii, and exponents in d = 3: T_n = (2 - 2^-n) T/4, R_n = (1 + 2^-n) R/2."""
     if n_max > 8:
         raise ValueError("n_max is capped at 8 (the exponents grow geometrically)")
-    p = 1.0 + 2.0 / dim
-    q = 2.0 + 4.0 / dim
+    p = 1.0 + 2.0 / 3
+    q = 2.0 + 4.0 / 3
     rows = []
     for n in range(n_max + 1):
         rows.append(
@@ -206,7 +206,7 @@ def moser_report(traj: Trajectory, n_max: int, R: float) -> dict:
     d = traj.grid.dim
     q = 2.0 + 4.0 / d
     T = traj.times[-1]
-    sched = moser_schedule(n_max, T, R, d)
+    sched = moser_schedule(n_max, T, R)
     vol = traj.grid.spacing**d
     astars = {}
     for t, s in zip(traj.times, traj.snapshots):

@@ -65,17 +65,15 @@ class ConservationError(LandauLabError, RuntimeError):
 
 @dataclass
 class LedgerRow:
-    """
-    One ledger line.  Its CSV columns follow the field order; a per-axis
-    field (``list[float]``, the momentum) takes one column per axis,
-    suffixed _0 .. _{d-1}.
-    """
+    """One ledger line.  Its CSV columns are the fields, in field order."""
 
     step: int
     time: float
     dt: float
     mass: float
-    momentum: list[float]
+    momentum_0: float
+    momentum_1: float
+    momentum_2: float
     energy: float
     entropy: float
     entropy_production: float
@@ -86,35 +84,18 @@ class LedgerRow:
     h_max: float
 
     def as_list(self) -> list:
-        out = []
-        for fld in dataclasses.fields(self):
-            value = getattr(self, fld.name)
-            if fld.type == "list[float]":
-                out.extend(value)
-            else:
-                out.append(value)
-        return out
+        return [getattr(self, fld.name) for fld in dataclasses.fields(self)]
 
     @classmethod
-    def header(cls, dim: int) -> list[str]:
-        out = []
-        for fld in dataclasses.fields(cls):
-            if fld.type == "list[float]":
-                out.extend(f"{fld.name}_{i}" for i in range(dim))
-            else:
-                out.append(fld.name)
-        return out
+    def header(cls) -> list[str]:
+        return [fld.name for fld in dataclasses.fields(cls)]
 
     @classmethod
-    def from_csv(cls, record: dict[str, str], dim: int) -> "LedgerRow":
-        """Inverse of ``as_list`` for one ``csv.DictReader`` record of a ``header(dim)`` file."""
-        values = {}
-        for fld in dataclasses.fields(cls):
-            if fld.type == "list[float]":
-                values[fld.name] = [float(record[f"{fld.name}_{i}"]) for i in range(dim)]
-            else:
-                values[fld.name] = (int if fld.type == "int" else float)(record[fld.name])
-        return cls(**values)
+    def from_csv(cls, record: dict[str, str]) -> "LedgerRow":
+        """Inverse of ``as_list`` for one ``csv.DictReader`` record of a ``header()`` file."""
+        return cls(
+            **{fld.name: (int if fld.type == "int" else float)(record[fld.name]) for fld in dataclasses.fields(cls)}
+        )
 
 
 @dataclass
@@ -275,7 +256,9 @@ def _ledger_row(k: int, time: float, stats: StepStats, split: SplitOperator) -> 
         time=time,
         dt=stats.dt,
         mass=mass,
-        momentum=[float(x) for x in mom],
+        momentum_0=float(mom[0]),
+        momentum_1=float(mom[1]),
+        momentum_2=float(mom[2]),
         energy=ener,
         entropy=entropy(f),
         entropy_production=entropy_production(split),

@@ -112,7 +112,7 @@ def gate_oracle_equivalence(n=16):
     grid = make_grid(3, 4.0, n)
     gamma = -1.0
     f = counterexample_profile(grid, 2.0)
-    kinds = ["h", "a"] + [f"A{i}{j}" for i, j in co.matrix_component_pairs(3)] + ["D0", "D1", "D2"]
+    kinds = ["h", "a"] + [f"A{i}{j}" for i, j in co.COMPONENT_PAIRS] + ["D0", "D1", "D2"]
     t0 = time.perf_counter()
     fast = co.fft_convolve(f, gamma, kinds)
     direct = co.direct_convolve_many(f, gamma, kinds)
@@ -141,7 +141,7 @@ def gate_structural_identities(n=32):
         worst["trace"] = max(worst["trace"], float(np.max(np.abs(bundle.A.trace() - a_own.values))) / scale)
         lmin, lmax = co.eigenvalue_range(bundle.A)
         worst["psd"] = max(worst["psd"], float(-np.min(lmin) / np.max(lmax)))
-        chain = co.verify_constant_chain(3, gamma)
+        chain = co.verify_constant_chain(gamma)
         worst["chain"] = max(worst["chain"], chain["max_rel_err"])
         # sign-resolved spectral residual: -Delta a = -(2+gamma) h
         mda = co.spectral_laplacian(bundle.a)
@@ -163,7 +163,7 @@ def gate_structural_identities(n=32):
         # per block of 512 nodes, whose component block stays in cache
         dirs = co.fibonacci_sphere(2000)
         coef = np.stack(
-            [(1.0 if i == j else 2.0) * dirs[:, i] * dirs[:, j] for i, j in co.matrix_component_pairs(3)],
+            [(1.0 if i == j else 2.0) * dirs[:, i] * dirs[:, j] for i, j in co.COMPONENT_PAIRS],
             axis=1,
         )
         comps = bundle.A.comps.reshape(coef.shape[1], -1)

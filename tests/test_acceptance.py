@@ -189,7 +189,6 @@ def test_criterion_8_coulomb_conditional():
         2.0,
         "coulomb",
         R_sweep=(1.0, 1.5, 2.0),
-        s_exponent=0.5,
         hypothesis_flags={"doubling_constant": dbl.value},
     )
     clip = sum(r.clipped_mass for r in traj.ledger)

@@ -319,18 +319,17 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
 
 def test_profile_kinds(tmp_path):
     grid = make_grid(3, 8.0, 16)
-    rng = np.random.default_rng(0)
     for prof in (
         {"kind": "maxwellian"},
         {"kind": "squeezed_gaussian", "sigma": 0.5},
         {"kind": "counterexample", "m": 2.0},
         {"kind": "shell"},
     ):
-        f = cli.build_profile(grid, prof, rng)
+        f = cli.build_profile(grid, prof)
         assert np.all(f.values >= 0)
     path = tmp_path / "f.llf"
     write_field(path, maxwellian(grid))
-    f = cli.build_profile(grid, {"kind": "file", "path": str(path)}, rng)
+    f = cli.build_profile(grid, {"kind": "file", "path": str(path)})
     assert f.values.max() > 0
 
 

@@ -7,13 +7,13 @@ from scipy.integrate import dblquad
 
 from landau_lab import coefficients as co
 from landau_lab.errors import EigenSolveError, GammaRangeError, GridError, MemoryCapError, NonNegativityError
-from landau_lab.grid import ScalarField, make_grid, maxwellian, random_density
+from landau_lab.grid import ScalarField, VelocityGrid, make_grid, maxwellian, random_density
 
 ALL_KINDS = ["h", "a", "A00", "A01", "A02", "A11", "A12", "A22", "D0", "D1", "D2"]
 
 
 def test_constants_coulomb():
-    c = co.kernel_constants(3, -3.0)
+    c = co.kernel_constants(-3.0)
     assert c["C_A"] == pytest.approx(1.0 / (8 * math.pi), rel=1e-14)
     assert c["c_a"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-14)
     assert c["c_h"] == 1.0
@@ -22,13 +22,13 @@ def test_constants_coulomb():
 
 def test_constants_chain_sweep():
     for gamma in (-2.9, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0):
-        rep = co.verify_constant_chain(3, gamma)
+        rep = co.verify_constant_chain(gamma)
         assert rep["max_rel_err"] < 1e-6, gamma
 
 
 def test_constants_continuity_at_coulomb():
-    near = co.kernel_constants(3, -3.0 + 1e-9)
-    at = co.kernel_constants(3, -3.0)
+    near = co.kernel_constants(-3.0 + 1e-9)
+    at = co.kernel_constants(-3.0)
     assert near["C_A"] == pytest.approx(at["C_A"], rel=1e-6)
 
 
@@ -51,14 +51,13 @@ def test_cell_average_values():
         assert co.unit_cell_power_average(p) == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("dim", [1, 2, 4])
 def test_coefficients_require_three_dimensions(dim):
-    grid = make_grid(dim, 2.0, 4)
-    f = ScalarField(grid, np.ones(grid.shape))
-    with pytest.raises(GridError):
-        co.build_coefficients(f, -1.0)
-    with pytest.raises(GridError):
-        co.h_field(f, -float(dim))  # the identity branch too
+    # no field of another dimension reaches the engine: the lattice itself refuses d != 3
+    with pytest.raises(GridError, match=f"got d = {dim}$"):
+        make_grid(dim, 2.0, 4)
+    with pytest.raises(GridError, match=f"got d = {dim}$"):
+        VelocityGrid(dim, 2.0, 4)
 
 
 def _tilted_gaussian(grid):
@@ -205,7 +204,7 @@ def test_h_field_branches(grid16, maxwellian16):
 
 def test_a_field_gamma_minus2_constant(grid16, maxwellian16):
     a = co.a_field(maxwellian16, -2.0)
-    c = co.kernel_constants(3, -2.0)
+    c = co.kernel_constants(-2.0)
     assert np.allclose(a.values, c["c_a"], rtol=1e-12)
 
 
@@ -217,7 +216,7 @@ def test_single_cell_closed_forms():
     f = ScalarField(grid, vals)
     v0 = np.array([grid.axis[10], grid.axis[8], grid.axis[8]])
     gamma = -1.0
-    c = co.kernel_constants(3, gamma)
+    c = co.kernel_constants(gamma)
     a = co.a_field(f, gamma)
     # grad a = -(2+gamma) b, the identity the drift kernel carries
     ga = [-(2.0 + gamma) * b.values for b in co.build_coefficients(f, gamma).drift]
@@ -427,11 +426,11 @@ def test_tampered_constant_trips_the_chain_check(monkeypatch):
 
     original = comod.kernel_constants
 
-    def tampered(dim, gamma):
-        out = dict(original(dim, gamma))
+    def tampered(gamma):
+        out = dict(original(gamma))
         out["c_h"] *= 1.01
         return out
 
     monkeypatch.setattr(comod, "kernel_constants", tampered)
-    rep = comod.verify_constant_chain(3, -2.5)
+    rep = comod.verify_constant_chain(-2.5)
     assert rep["max_rel_err"] > 1e-6  # the gate threshold

@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from landau_lab.grid import (
 
 
 def test_nodes_are_cell_centers_1d():
-    g = make_grid(1, 1.0, 4)
-    assert np.allclose(g.axis, [-0.75, -0.25, 0.25, 0.75])
+    g = make_grid(3, 1.0, 4)
+    centres = [-0.75, -0.25, 0.25, 0.75]
+    assert np.allclose(g.axis, centres)
+    assert all(np.allclose(c.ravel(), centres) for c in g.coords())
 
 
 def test_grid_spacing_and_counts():
@@ -56,8 +59,9 @@ def test_bad_half_extent_rejected(half_extent):
 
 
 def test_memory_cap():
-    with pytest.raises(MemoryCapError):
-        make_grid(3, 8.0, 64, node_cap=1000)
+    # 324^3 = 34,012,224 nodes, over DEFAULT_NODE_CAP = 2^25; nothing is allocated
+    with pytest.raises(MemoryCapError, match="34012224 nodes"):
+        make_grid(3, 8.0, 324)
 
 
 def test_maxwellian_mass_vs_1d_quadrature(grid16):
@@ -247,9 +251,8 @@ def test_snapshot_format_errors(tmp_path, grid16):
 
 
 def test_snapshot_of_another_dimension_rejected(tmp_path):
-    # a consistent 2-d file: only its dimension is wrong
-    g = make_grid(2, 8.0, 16)
+    # a consistent 2-d file, packed by hand since no grid can write it: only its dimension is wrong
     path = tmp_path / "plane.llf"
-    write_field(path, ScalarField(g, np.ones(g.shape)))
+    path.write_bytes(b"LLF1" + struct.pack("<qqd", 2, 16, 8.0) + np.ones(16 * 16).astype("<f8").tobytes())
     with pytest.raises(SnapshotFormatError, match="dim=2"):
         read_field(path)
