@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coeff
-from .errors import ConfigError, LandauLabError, SnapshotFormatError
+from .errors import ConfigError, LandauLabError
 from .grid import (
     ScalarField,
     counterexample_profile,
@@ -305,10 +305,7 @@ def cmd_diagnose(target, which: str, out_dir, gamma: float | None = None) -> dic
         traj = load_trajectory(target)
         f, g = traj.final, traj.gamma
     else:
-        try:
-            f = read_field(target)
-        except SnapshotFormatError:
-            raise
+        f = read_field(target)
         if gamma is None:
             raise ConfigError(["field snapshots need an explicit --gamma"])
         g = gamma

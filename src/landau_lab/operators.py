@@ -287,28 +287,31 @@ class DiffusionOperator:
         return sparse.dia_matrix((data, [steps[o] for o in offsets]), shape=(size, size))
 
 
-def folded_matrix(
-    S: sparse.dia_matrix, c: np.ndarray, s: float, w: np.ndarray | None = None, dtype=np.float64
-) -> sparse.dia_matrix:
+def folded_matrix(S: sparse.dia_matrix, c: np.ndarray, s: float) -> sparse.dia_matrix:
     """
-    diag(w) (diag(c) + s S) diag(w) with the diagonals of ``S`` (a
+    diag(c) + s S in float64 with the diagonals of ``S`` (a
     ``DiffusionOperator.matrix()``): the Krylov systems of the implicit step
-    and of the coercivity functional as one matrix each.  The entries are
-    computed in float64 and stored in ``dtype``.
+    and of the coercivity functional as one matrix each.
     """
     data = s * S.data
     data[np.flatnonzero(S.offsets == 0)[0]] += c
-    if w is None:
-        return sparse.dia_matrix((data.astype(dtype, copy=False), S.offsets), shape=S.shape)
-    size = S.shape[0]
-    scaled = np.zeros(data.shape, dtype)
+    return sparse.dia_matrix((data, S.offsets), shape=S.shape)
+
+
+def scaled_matrix(T: sparse.dia_matrix, w: np.ndarray, dtype=np.float64) -> sparse.dia_matrix:
+    """
+    diag(w) T diag(w) for ``T`` in diagonal storage, computed in float64 and
+    stored in ``dtype``.
+    """
+    size = T.shape[0]
+    scaled = np.zeros(T.data.shape, dtype)
     pair = np.empty(size)
-    for k, step in enumerate(S.offsets):
+    for k, step in enumerate(T.offsets):
         # column j of diagonal k is the entry in row j - step; the others are never read
         lo, hi = max(step, 0), min(size, size + step)
         np.multiply(w[lo:hi], w[lo - step : hi - step], out=pair[lo:hi])
-        np.multiply(data[k, lo:hi], pair[lo:hi], out=scaled[k, lo:hi], casting="same_kind")
-    return sparse.dia_matrix((scaled, S.offsets), shape=S.shape)
+        np.multiply(T.data[k, lo:hi], pair[lo:hi], out=scaled[k, lo:hi], casting="same_kind")
+    return sparse.dia_matrix((scaled, T.offsets), shape=T.shape)
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -23,11 +23,13 @@ import scipy.linalg
 from .coefficients import CoefficientBundle, build_coefficients
 from .errors import GammaRangeError, IterationError
 from .grid import ScalarField
-from .operators import DiffusionOperator, dot, energy_form, folded_matrix
+from .operators import DiffusionOperator, dot, energy_form, folded_matrix, scaled_matrix
 
 BASIS = 40  # Lanczos vectors per cycle: one (BASIS + 1, n) array
 KEPT = 10  # Ritz pairs kept at each thick restart
 FIT_POINTS = 4  # smallest epsilons the coercivity slopes are fitted on
+LANCZOS_TOL = 1e-6  # relative residual at which a Ritz pair is accepted
+LANCZOS_MAXITER = 10_000  # thick restarts per eigenvalue before IterationError
 
 
 @dataclass
@@ -57,16 +59,16 @@ def _top_eigenvalue(
     diffusion: DiffusionOperator,
     S,
     eps: float,
-    mass_weight: np.ndarray | None = None,
-    tol: float = 1e-6,
-    maxiter: int = 10_000,
-    v0: np.ndarray | None = None,
+    mass_weight: np.ndarray,
+    v0: np.ndarray | None,
 ) -> tuple[float, int, float, np.ndarray]:
     """
-    Largest eigenvalue of K = diag(h) + eps * L, or of the pencil (K, W) when
-    a mass weight W is given.  ``S`` is ``diffusion.matrix()``.  K is folded
-    into one matrix with the diagonals of S; the pencil is solved as the
-    standard symmetric problem W^{-1/2} K W^{-1/2}.  Returns the eigenvalue,
+    Largest eigenvalue of the pencil (K, W), K = diag(h) + eps * L and W the
+    mass weight (all ones for the plain functional).  ``S`` is
+    ``diffusion.matrix()``.  K is folded into one matrix with the diagonals
+    of S, and the pencil is solved as the standard symmetric problem
+    W^{-1/2} K W^{-1/2}; at W = 1 the scaling multiplies by exactly 1.0, so
+    the plain curve takes no branch of its own.  Returns the eigenvalue,
     the operator applies, the relative residual of the Ritz pair recomputed
     with the matrix-free ``diffusion.apply`` in the original variables, and
     the eigenvector in the solved variables (a warm start for the next
@@ -78,20 +80,22 @@ def _top_eigenvalue(
     restarts as their Ritz values coupled to the next Lanczos vector (an
     arrowhead).  Every 5 steps only the top Ritz pair of the projection is
     computed; the top ``KEPT`` pairs are computed only at a restart.  A pair
-    is accepted only when its residual, recomputed with K, meets ``tol``, so
-    lost orthogonality can cost applies but cannot pass a wrong pair.
-    ``maxiter`` caps the restarts.  The reductions run in einsum, never on
-    threaded BLAS, so the result does not depend on the BLAS thread count.
+    is accepted only when its residual, recomputed with K, meets
+    ``LANCZOS_TOL``, so lost orthogonality can cost applies but cannot pass a
+    wrong pair.  ``LANCZOS_MAXITER`` caps the restarts.  The reductions run
+    in einsum, never on threaded BLAS, so the result does not depend on the
+    BLAS thread count.
     """
     shape = h.shape
     hflat = h.ravel()
-    s = None if mass_weight is None else 1.0 / np.sqrt(mass_weight.ravel())
-    K = folded_matrix(S, hflat, eps, s)
+    weight = mass_weight.ravel()
+    s = 1.0 / np.sqrt(weight)
+    K = scaled_matrix(folded_matrix(S, hflat, eps), s)
 
     def residual(lam, y):
-        phi = y if s is None else s * y
+        phi = s * y
         lhs = hflat * phi + eps * diffusion.apply(phi.reshape(shape)).ravel()
-        r = lhs - (lam * phi if mass_weight is None else lam * mass_weight.ravel() * phi)
+        r = lhs - lam * weight * phi
         return math.sqrt(dot(r, r)) / max(abs(lam), 1e-300)
 
     V = np.empty((BASIS + 1, hflat.size))  # row j is Lanczos vector j
@@ -120,18 +124,18 @@ def _top_eigenvalue(
         if size % 5 == 0 or beta == 0.0:
             theta, u = scipy.linalg.eigh(T[:size, :size], subset_by_index=[size - 1, size - 1])
             lam = float(theta[-1])
-            estimated = abs(beta * u[-1, -1]) <= tol * abs(lam)
+            estimated = abs(beta * u[-1, -1]) <= LANCZOS_TOL * abs(lam)
             if estimated:
                 y = ritz_vector(u[:, -1])
                 r = K @ y - lam * y
                 applies += 1
-                if math.sqrt(dot(r, r)) <= tol * abs(lam):
+                if math.sqrt(dot(r, r)) <= LANCZOS_TOL * abs(lam):
                     return lam, applies, residual(lam, y), y
             if estimated or size == BASIS:
-                if restarts == maxiter:
+                if restarts == LANCZOS_MAXITER:
                     res = residual(lam, ritz_vector(u[:, -1]))
                     raise IterationError(
-                        f"eigenvalue iteration did not converge within {maxiter} restarts "
+                        f"eigenvalue iteration did not converge within {LANCZOS_MAXITER} restarts "
                         f"(last Ritz residual {res:.3g})",
                         residual=res,
                     )
@@ -151,28 +155,26 @@ def _top_eigenvalue(
 
 def lambda_curve(
     bundle: CoefficientBundle,
-    epsilons=None,
+    epsilons,
     mass_weight: np.ndarray | None = None,
-    tol: float = 1e-6,
-    maxiter: int = 10_000,
     weight_name: str = "none",
 ) -> LambdaCurve:
     """
-    Evaluate the functional of the bundle on a grid of epsilons (default 8
-    points in [1e-3, 1]).  The operator is assembled once per curve, and
-    each epsilon starts from the eigenvector of the one before.  A zero
-    bundle gives the zero curve: the first Lanczos step meets a zero
-    residual.
+    Evaluate the functional of the bundle on a grid of epsilons, with the
+    mass weight on the right-hand side if one is given.  The operator is
+    assembled once per curve, and each epsilon starts from the eigenvector
+    of the one before.  A zero bundle gives the zero curve: the first
+    Lanczos step meets a zero residual.
     """
-    if epsilons is None:
-        epsilons = np.logspace(-3, 0, 8)
     epsilons = sorted(float(e) for e in epsilons)
+    if mass_weight is None:
+        mass_weight = np.ones(bundle.grid.shape)
     L = DiffusionOperator(bundle.A, bc="dirichlet")
     S = L.matrix()
     lams, iters, resids = [], [], []
     v0 = None
     for eps in epsilons:
-        lam, it, res, v0 = _top_eigenvalue(bundle.h.values, L, S, eps, mass_weight, tol, maxiter, v0)
+        lam, it, res, v0 = _top_eigenvalue(bundle.h.values, L, S, eps, mass_weight, v0)
         lams.append(lam)
         iters.append(it)
         resids.append(res)

@@ -13,7 +13,7 @@ operator is assembled once per step in diagonal storage, straight from its
 matrix with the same diagonals and solved in two precisions: an outer
 refinement loop keeps the residual in float64 and stops on it, and each of
 its passes runs conjugate gradients in float32 on the Jacobi-scaled copy
-diag(T)^(-1/2) T diag(T)^(-1/2).  The scaling is what makes float32 usable:
+diag(T)^(-1/2) T diag(T)^(-1/2), scaled once per step from the folded T.  The scaling is what makes float32 usable:
 T's diagonal follows the reference Gaussian down below float32's range,
 while the scaled matrix has a unit diagonal.  Each step reports the float32
 iterations, the outer passes and the final float64 residual.  Zero flux
@@ -42,15 +42,18 @@ from .operators import (
     drift_divergence,
     energy_form,
     folded_matrix,
+    scaled_matrix,
 )
 
 
 CG_TOL = 1e-10  # relative float64 residual at which the implicit solve stops
 INNER_TOL = 1e-3  # relative residual at which each float32 refinement pass stops
+CG_MAXITER = 4000  # float32 iterations of all refinement passes of one solve together
+MASS_DRIFT_TOL = 1e-5  # relative ledger mass drift at which a run aborts
 
 
 class ConservationError(LandauLabError, RuntimeError):
-    """Ledger mass drift exceeded the configured tolerance; carries the run's clipping record."""
+    """Ledger mass drift exceeded ``MASS_DRIFT_TOL``; carries the run's clipping record."""
 
     def __init__(self, message: str, clipped_mass: float, negative_nodes: int):
         super().__init__(message)
@@ -201,7 +204,7 @@ def reference_gaussian(f: ScalarField) -> Reference:
     mass, mom, ener = moments(M)
     mean = mom / mass
     T = (ener / mass - float(np.dot(mean, mean))) / grid.dim
-    centred = [np.broadcast_to(c, grid.shape) - mean[ax] for ax, c in enumerate(grid.coords())]
+    centred = [c - mean[ax] for ax, c in enumerate(grid.coords())]  # broadcastable axes, not N^3 arrays
     return Reference(M, cell_corner_geomean(M.values), T, centred)
 
 
@@ -295,13 +298,7 @@ def _cg32(S: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray
     return y, iterations
 
 
-def _imex_solve(
-    split: SplitOperator,
-    dt: float,
-    rhs: np.ndarray,
-    maxiter: int = 4000,
-    pass_iterations: list[int] | None = None,
-) -> tuple[np.ndarray, int, float]:
+def _imex_solve(split: SplitOperator, dt: float, rhs: np.ndarray) -> tuple[np.ndarray, int, float, int]:
     """
     Solve T u = rhs, T = diag(M) - dt S folded into one matrix, for u = f/M
     by iterative refinement in two precisions, from u = rhs/M until
@@ -312,32 +309,31 @@ def _imex_solve(
     stored in float32, by ``_cg32`` and adds ||w r|| w y to u.  S32 has a unit
     diagonal and entries bounded by 1, so the float32 copy holds the system
     although diag(T) itself lies below float32's range in the tail of a wide
-    box (3e-40 at the corners of an N=32, L=8 box at dt=0.01).  ``maxiter``
-    caps the float32 iterations of all passes together; the cap, or a pass
-    that does not lower ||r||, raises ``IterationError`` with the float64
-    residual and the iterate.  Returns f = M u, the float32 iteration count
-    and the relative residual the stop rule measured; ``pass_iterations``, if
-    given, receives each pass's iteration count.
+    box (3e-40 at the corners of an N=32, L=8 box at dt=0.01).  T is folded
+    once and S32 scaled from it.  ``CG_MAXITER`` caps the float32 iterations
+    of all passes together; the cap, or a pass that does not lower ||r||,
+    raises ``IterationError`` with the float64 residual and the iterate.
+    Returns f = M u, the float32 iteration count, the relative residual the
+    stop rule measured and the number of passes.
     """
     mref = split.mref.values.ravel()
     T = folded_matrix(split.matrix, mref, -dt)
     w = 1.0 / np.sqrt(T.diagonal())
-    S32 = folded_matrix(split.matrix, mref, -dt, w, np.float32)
+    S32 = scaled_matrix(T, w, np.float32)
     b = rhs.ravel()
     bnorm = math.sqrt(dot(b, b))
     x = b / mref
     r = b - T @ x
     rnorm = math.sqrt(dot(r, r))
-    iterations = 0
+    iterations = passes = 0
     while not rnorm <= CG_TOL * bnorm:  # a nan residual enters, then fails as a stall
         previous = rnorm
-        if iterations < maxiter:
+        if iterations < CG_MAXITER:
             s = w * r
             snorm = math.sqrt(dot(s, s))
-            y, count = _cg32(S32, (s / snorm).astype(np.float32), maxiter - iterations)
+            y, count = _cg32(S32, (s / snorm).astype(np.float32), CG_MAXITER - iterations)
             iterations += count
-            if pass_iterations is not None:
-                pass_iterations.append(count)
+            passes += 1
             x += snorm * (w * y)
             r = b - T @ x
             rnorm = math.sqrt(dot(r, r))
@@ -348,7 +344,7 @@ def _imex_solve(
                 residual=res,
                 iterate=x.reshape(rhs.shape),
             )
-    return (mref * x).reshape(rhs.shape), iterations, rnorm / bnorm if bnorm else 0.0
+    return (mref * x).reshape(rhs.shape), iterations, rnorm / bnorm if bnorm else 0.0, passes
 
 
 def step(split: SplitOperator, dt: float) -> tuple[ScalarField, StepStats]:
@@ -364,15 +360,14 @@ def step(split: SplitOperator, dt: float) -> tuple[ScalarField, StepStats]:
     f = split.bundle.f.values
     leak = boundary_drift_flux(f, split.drift_rest, grid.spacing) * dt
     rhs = f - dt * split.drift_div
-    passes: list[int] = []
-    fnew, iterations, residual = _imex_solve(split, dt, rhs, pass_iterations=passes)
+    fnew, iterations, residual, passes = _imex_solve(split, dt, rhs)
     neg = fnew < 0
     nneg = int(np.count_nonzero(neg))
     # summing the negated values keeps an unclipped step at +0.0, not -0.0
     clipped = float(np.sum(-fnew[neg])) * grid.spacing**grid.dim
     if nneg:
         fnew = np.where(neg, 0.0, fnew)
-    return ScalarField(grid, fnew), StepStats(dt, leak, clipped, nneg, iterations, residual, len(passes))
+    return ScalarField(grid, fnew), StepStats(dt, leak, clipped, nneg, iterations, residual, passes)
 
 
 def auto_dt(split: SplitOperator, dt_max: float = math.inf) -> float:
@@ -397,13 +392,13 @@ def simulate(
     dt_fixed: float | None = None,
     t_ramp: float | None = None,
     snapshot_stride: int = 1,
-    mass_drift_tol: float = 1e-5,
 ) -> Trajectory:
     """
     March to t_final recording snapshots every ``snapshot_stride`` steps.
     ``t_ramp`` bounds dt by ramp * (t + first step) so early times stay
-    resolved.  Aborts when the ledger mass drifts beyond tolerance, reporting
-    the mass clipping has added so far and the most nodes clipped in a step.
+    resolved.  Aborts when the ledger mass drifts beyond ``MASS_DRIFT_TOL``,
+    reporting the mass clipping has added so far and the most nodes clipped
+    in a step.
     t_final must be finite, step sizes positive and the stride at least 1,
     else the loop would never end.
     """
@@ -430,7 +425,7 @@ def simulate(
         ledger.append(row)
         clipped_total += row.clipped_mass
         negatives_max = max(negatives_max, row.negative_nodes)
-        if abs(row.mass - mass0) > mass_drift_tol * max(mass0, 1e-300):
+        if abs(row.mass - mass0) > MASS_DRIFT_TOL * max(mass0, 1e-300):
             raise ConservationError(
                 f"mass drifted to {row.mass} from {mass0} at t={time}; clipping added "
                 f"{clipped_total:.3g} of mass, with at most {negatives_max} negative nodes in a step",

@@ -9,6 +9,7 @@ slope of the coercivity curve on equilibrium data (the curve saturates at
 sup h; the bounded-curve gates run instead).
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -218,6 +219,8 @@ def test_criterion_9_iteration_diagnostics():
 
 
 def test_criterion_10_reproducible_quick_suite(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(V.__file__))}  # what the child imports from
+
     def run(out):
         t0 = time.time()
         proc = subprocess.run(
@@ -231,6 +234,7 @@ def test_criterion_10_reproducible_quick_suite(tmp_path):
                 "--out",
                 str(out),
             ],
+            env=env,
             capture_output=True,
             text=True,
             timeout=900,

@@ -9,6 +9,7 @@ from landau_lab.operators import (
     centered_gradient,
     drift_divergence,
     folded_matrix,
+    scaled_matrix,
     second_derivatives,
     smoothstep_cutoff,
 )
@@ -122,15 +123,19 @@ def test_matrix_matches_operator(rng):
             # centre, +-e_i and +-(e_i - e_j): at most 1 + d + d^2 entries per row and diagonals
             assert np.diff(csr.indptr).max() <= 1 + g.dim + g.dim**2
             assert len(S.offsets) <= 1 + g.dim + g.dim**2
-            # the folded Krylov systems diag(v) (diag(c) + s L) diag(v)
+            # the folded Krylov systems T = diag(c) + s L, and their scaled copies diag(v) T diag(v)
             c = rng.uniform(0.5, 2.0, size=g.n_nodes)
-            for s, v in ((-0.1, None), (0.3, rng.uniform(0.5, 2.0, size=g.n_nodes))):
-                vx = x.ravel() if v is None else v * x.ravel()
-                ref = c * vx + s * L.apply(vx.reshape(g.shape)).ravel()
-                if v is not None:
-                    ref = v * ref
-                got = folded_matrix(S, c, s, v) @ x.ravel()
-                assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+            for s in (-0.1, 0.3):
+                T = folded_matrix(S, c, s)
+                ref = c * x.ravel() + s * L.apply(x).ravel()
+                assert np.linalg.norm(T @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
+                v = rng.uniform(0.5, 2.0, size=g.n_nodes)
+                vx = v * x.ravel()
+                ref = v * (c * vx + s * L.apply(vx.reshape(g.shape)).ravel())
+                scaled = scaled_matrix(T, v)
+                assert np.linalg.norm(scaled @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
+                # the float32 copy is the float64 product rounded once
+                assert np.array_equal(scaled_matrix(T, v, np.float32).data, scaled.data.astype(np.float32))
 
 
 def test_cell_weight_scales_form(rng):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from landau_lab import poincare
 from landau_lab.coefficients import CoefficientBundle, build_coefficients
 from landau_lab.errors import GammaRangeError, IterationError, NonNegativityError
 from landau_lab.grid import ScalarField, counterexample_profile, make_grid, maxwellian
@@ -55,33 +56,36 @@ def test_lambda_of_zero_density(grid12):
     assert curve.iterations == [2, 2]
 
 
-def test_lambda_monotone_in_epsilon(bundle12):
-    curve = lambda_curve(bundle12, epsilons=[1e-3, 1e-2, 1e-1, 1.0], tol=1e-8)
+def test_lambda_monotone_in_epsilon(bundle12, monkeypatch):
+    monkeypatch.setattr(poincare, "LANCZOS_TOL", 1e-8)
+    curve = lambda_curve(bundle12, epsilons=[1e-3, 1e-2, 1e-1, 1.0])
     lams = curve.lambdas
     assert all(lams[i] >= lams[i + 1] - 1e-10 for i in range(len(lams) - 1))
     assert min(lams) > -1e-8
 
 
-def test_lambda_scaling_in_density(grid12, bundle12):
+def test_lambda_scaling_in_density(grid12, bundle12, monkeypatch):
+    monkeypatch.setattr(poincare, "LANCZOS_TOL", 1e-10)
     c = 3.7
     f2 = ScalarField(grid12, c * bundle12.f.values)
     b2 = build_coefficients(f2, -1.0)
     for eps in (0.01, 0.3):
-        l1 = lambda_curve(bundle12, epsilons=[eps], tol=1e-10).lambdas[0]
-        l2 = lambda_curve(b2, epsilons=[eps], tol=1e-10).lambdas[0]
+        l1 = lambda_curve(bundle12, epsilons=[eps]).lambdas[0]
+        l2 = lambda_curve(b2, epsilons=[eps]).lambdas[0]
         assert l2 == pytest.approx(c * l1, rel=1e-7)
 
 
-def test_lambda_matches_dense_oracle(bundle12):
+def test_lambda_matches_dense_oracle(bundle12, monkeypatch):
+    monkeypatch.setattr(poincare, "LANCZOS_TOL", 1e-10)
     epsilons = [0.01, 0.3, 1.0]
     dense = {eps: dense_top_eigenvalue(bundle12, eps) for eps in epsilons}
     for eps in (0.01, 0.3):
-        lam = lambda_curve(bundle12, epsilons=[eps], tol=1e-10).lambdas[0]
+        lam = lambda_curve(bundle12, epsilons=[eps]).lambdas[0]
         assert lam == pytest.approx(dense[eps], rel=1e-6)
     # warm-started curve, plain and bracket-weighted at gamma = -1
     bracket = (1.0 + bundle12.grid.radius_squared()) ** -0.5
-    curve = lambda_curve(bundle12, epsilons=epsilons, tol=1e-10)
-    wcurve = lambda_curve(bundle12, epsilons=epsilons, mass_weight=bracket, tol=1e-10)
+    curve = lambda_curve(bundle12, epsilons=epsilons)
+    wcurve = lambda_curve(bundle12, epsilons=epsilons, mass_weight=bracket)
     for eps, lam, wlam in zip(epsilons, curve.lambdas, wcurve.lambdas):
         assert lam == pytest.approx(dense[eps], rel=1e-6)
         assert wlam == pytest.approx(dense_top_eigenvalue(bundle12, eps, mass_weight=bracket), rel=1e-6)
@@ -99,7 +103,7 @@ def test_lambda_refinement_stability():
 
 
 def test_lambda_iteration_cap(bundle12, monkeypatch):
-    # tol = 0 never converges: the cap raises with the last Ritz pair's residual,
+    # a zero tolerance never converges: the cap raises with the last Ritz pair's residual,
     # recomputed with the matrix-free apply in the original variables
     calls = []
     apply = DiffusionOperator.apply
@@ -109,11 +113,13 @@ def test_lambda_iteration_cap(bundle12, monkeypatch):
         return apply(self, phi)
 
     monkeypatch.setattr(DiffusionOperator, "apply", counted_apply)
+    monkeypatch.setattr(poincare, "LANCZOS_TOL", 0.0)
+    monkeypatch.setattr(poincare, "LANCZOS_MAXITER", 1)
     bracket = (1.0 + bundle12.grid.radius_squared()) ** -0.5
     for weight in (None, bracket):
         calls.clear()
         with pytest.raises(IterationError) as info:
-            lambda_curve(bundle12, epsilons=[0.3], mass_weight=weight, maxiter=1, tol=0.0)
+            lambda_curve(bundle12, epsilons=[0.3], mass_weight=weight)
         res = info.value.residual
         assert np.isfinite(res) and 0.0 < res < 1e-3
         assert len(calls) == 1
@@ -130,9 +136,10 @@ def test_lambda_curve_bytes_independent_of_blas_threads():
         "curve = lambda_curve(bundle, epsilons=[1e-3, 1e-2, 1e-1, 1.0])\n"
         "print(json.dumps(curve.manifest()))\n"
     )
+    package_root = os.path.dirname(os.path.dirname(poincare.__file__))  # what the child imports from
     blobs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": package_root}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True
         )
@@ -210,6 +217,6 @@ def test_gks_ratio_decreases_with_resolution():
 def test_lambda_curve_serialization(bundle12):
     from landau_lab.poincare import lambda_curve
 
-    curve = lambda_curve(bundle12, epsilons=[0.01, 0.1, 1.0], tol=1e-6)
+    curve = lambda_curve(bundle12, epsilons=[0.01, 0.1, 1.0])
     man = curve.manifest()
     assert man["gamma"] == -1.0 and len(man["lambdas"]) == 3
