@@ -32,21 +32,24 @@ gives the factor d-2, which is again -(2+gamma).
 At gamma = 0 (Maxwell molecules) every kernel is a polynomial of degree at
 most 2 in the offset, so each convolution is computed in closed form from the
 mass, mean and covariance of f, with no transform.  For gamma < 0 the
-convolutions are linear FFT convolutions on a box of P >= 2N-1 points per
-axis; the offset-zero cell of each kernel carries its analytic average over
-the cell, reducing the matrix-kernel cell averages to the scalar one by
-parity.  Each kernel table is wrapped, offset k at index k mod P, so it is
-exactly even or odd in every axis (A_ij, i != j, is odd in axes i and j, D_i
-in axis i, the rest are even): the table is sampled on the octant of
-nonnegative offsets and mirrored, the rfftn of h, a and the A_ij is real and
-that of the D_i imaginary, and its real or imaginary part has the same
-parities.  A plan stores only the float64 octant [:m, :m, :], m = P//2 + 1,
-of that half-spectrum, 21 MiB for the ten spectra of an N=64 plan instead of
-81 MiB, so the 1 GiB budget first refuses a ten-kind bundle at N=232 instead
-of N=150.  The product unfolds the octant through reversed views, negated
-where an odd axis flips.  f fills [0, N)^3 of the box, so the forward
-transform runs only over its nonzero lines, and each inverse transform keeps
-only the N output lines it needs on every axis: the result is [0, N)^3.
+convolutions are linear FFT convolutions on a box of P = 2 next_fast_len(N)
+points per axis, the smallest even fast length >= 2N-1; the offset-zero cell
+of each kernel carries its analytic average over the cell, reducing the
+matrix-kernel cell averages to the scalar one by parity.  Each kernel table is
+wrapped, offset k at index k mod P, so it is exactly even or odd in every
+axis (A_ij, i != j, is odd in axes i and j, D_i in axis i, the rest are even),
+and its spectrum is real times (-i) per odd axis, with the same parities.  A
+plan stores only the parity octant [:m, :m, :m], m = P/2 + 1, of that real
+factor, computed from the table's own octant of offsets 0..m-1 (the sampled
+offsets 0..N-1, then zeros) by one real transform per axis: a DCT-I along an
+even axis, a DST-I of the inner rows 1..m-2 along an odd one (Martucci, IEEE
+Trans. Signal Process. 42, 1994).  No P^3 table and no complex spectrum is
+built.  The ten spectra of an N=64 plan take 21 MiB, and the 1 GiB budget
+first refuses a ten-kind bundle at N=232.  The product unfolds the octant
+through reversed views, negated where an odd axis flips.  f fills [0, N)^3 of
+the box, so the forward transform runs only over its nonzero lines, and each
+inverse transform keeps only the N output lines it needs on every axis: the
+result is [0, N)^3.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from scipy import fft as sfft
 
 from .errors import EigenSolveError, GammaRangeError, GridError, MemoryCapError, NonNegativityError
 from .grid import ScalarField, VelocityGrid
+from .weights import doubling_constant
 
 _DEF_WORKERS = 1
 
@@ -115,32 +119,23 @@ def kernel_constants(gamma: float) -> dict[str, float]:
 # singular-cell averages
 # ---------------------------------------------------------------------------
 
-_cell_avg_cache: dict[float, float] = {}
-
-
 def unit_cell_power_average(p: float) -> float:
     """
     Average of |u|^p over the unit cell [-1/2, 1/2]^3 (exact face reduction:
     the cell integral equals 3/(p+3) times the integral of (|x|^2 + 1/4)^(p/2)
     over a face), requiring p + 3 > 0.
     """
-    key = round(float(p), 12)
-    if key in _cell_avg_cache:
-        return _cell_avg_cache[key]
     if p + 3 <= 0:
         raise ValueError(f"|u|^{p} is not integrable over the cell in d=3")
     if p == 0:
-        val = 1.0
-    else:
-        nodes, wts = np.polynomial.legendre.leggauss(64)
-        x = 0.5 * nodes  # map to [-1/2, 1/2]
-        w = 0.5 * wts
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        ww = np.outer(w, w)
-        face = float(np.sum(ww * (xx**2 + yy**2 + 0.25) ** (p / 2.0)))
-        val = 3 / (p + 3) * face
-    _cell_avg_cache[key] = val
-    return val
+        return 1.0
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    x = 0.5 * nodes  # map to [-1/2, 1/2]
+    w = 0.5 * wts
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    ww = np.outer(w, w)
+    face = float(np.sum(ww * (xx**2 + yy**2 + 0.25) ** (p / 2.0)))
+    return 3 / (p + 3) * face
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +221,7 @@ class _ConvPlan:
     def __init__(self, grid: VelocityGrid, gamma: float):
         self.grid = grid
         self.gamma = gamma
-        self.pad = sfft.next_fast_len(2 * grid.points_per_axis - 1)
+        self.pad = 2 * sfft.next_fast_len(grid.points_per_axis)  # the smallest even fast length >= 2N - 1
         self.spectrum_bytes = (self.pad // 2 + 1) ** 3 * 8
         self.kernel_ffts: dict[str, np.ndarray] = {}
 
@@ -235,30 +230,30 @@ class _ConvPlan:
 
     def kernel_fft(self, kind: str) -> np.ndarray:
         """
-        Parity octant [:m, :m, :], m = P//2 + 1, of the real part (even
-        kernels) or imaginary part ('Di') of the wrapped table's rfftn.
+        Parity octant [:m, :m, :m], m = P//2 + 1, of the real part (even
+        kernels and A_ij) or imaginary part ('Di') of the wrapped table's
+        spectrum: a DCT-I of the table's own octant along each even axis, a
+        DST-I of its inner rows 1..m-2 along each odd axis (rows 0 and m-1
+        are zero there), negated if any axis is odd, since each odd axis
+        contributes a factor -i.
         """
         if kind not in self.kernel_ffts:
-            n, P = self.grid.points_per_axis, self.pad
+            n, m = self.grid.points_per_axis, self.pad // 2 + 1
             z1 = np.arange(n) * self.grid.spacing  # the octant of offsets 0..n-1
             coords = np.ix_(z1, z1, z1)
             r2 = sum(c**2 for c in coords)
-            table = kernel_point_values(self.grid.spacing, self.gamma, kind, coords, r2)
-            del r2  # one table-sized array fewer while the transform runs
-            # offset -k sits at index P - k: mirror the octant, negated where an odd axis flips
+            spec = np.zeros((m, m, m))
+            spec[:n, :n, :n] = kernel_point_values(self.grid.spacing, self.gamma, kind, coords, r2)
+            del r2  # one table-sized array fewer while the transforms run
             odd = _odd_axes(kind)
-            buf = np.zeros((P, P, P))
-            for flips in itertools.product((False, True), repeat=3):
-                dst = tuple(slice(P - n + 1, P) if fl else slice(0, n) for fl in flips)
-                src = tuple(slice(n - 1, 0, -1) if fl else slice(0, n) for fl in flips)
-                if sum(fl and ax in odd for ax, fl in enumerate(flips)) % 2:
-                    np.negative(table[src], out=buf[dst])
-                else:
-                    buf[dst] = table[src]
-            spec = sfft.rfftn(buf, workers=_DEF_WORKERS)
-            part = spec.imag if kind.startswith("D") else spec.real
-            m = P // 2 + 1
-            self.kernel_ffts[kind] = part[:m, :m].copy()  # owns its data: the full spectrum is freed
+            for ax in range(3):
+                transform, rows = (sfft.dst, slice(1, m - 1)) if ax in odd else (sfft.dct, slice(None))
+                sel = (slice(None),) * ax + (rows,)
+                # in place where scipy allows it: numpy skips assigning a view to itself
+                spec[sel] = transform(spec[sel], type=1, axis=ax, overwrite_x=True, workers=_DEF_WORKERS)
+            if odd:
+                np.negative(spec, out=spec)  # (-i)^2 = -1 for A_ij; the D_i store the imaginary part
+            self.kernel_ffts[kind] = spec
         return self.kernel_ffts[kind]
 
 
@@ -541,7 +536,6 @@ class CoefficientBundle:
     a: ScalarField
     A: MatrixField
     drift: list[ScalarField]
-    constants: dict[str, float]
 
     @property
     def grid(self) -> VelocityGrid:
@@ -577,7 +571,7 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
         h = ScalarField(f.grid, consts["c_h"] * convs[-1])
     _require_finite(A)
     a = ScalarField(f.grid, A.trace())
-    return CoefficientBundle(g, f, h, a, A, drift, consts)
+    return CoefficientBundle(g, f, h, a, A, drift)
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:
@@ -610,8 +604,6 @@ def comparability_report(bundle: CoefficientBundle) -> dict:
     f, gamma = bundle.f, bundle.gamma
     if float(np.max(f.values)) <= 0.0:
         raise NonNegativityError("comparability report needs a nonzero density")
-    from .weights import doubling_constant  # local import to avoid a cycle
-
     bracket = np.sqrt(1.0 + f.grid.radius_squared())
     c_hat_a = float(np.min(bundle.a.values / bracket ** (gamma + 2.0)))
     c_hat_astar = float(np.min(bundle.a_star.values / bracket**gamma))

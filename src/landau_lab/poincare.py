@@ -24,6 +24,7 @@ from .coefficients import CoefficientBundle, build_coefficients
 from .errors import GammaRangeError, IterationError
 from .grid import ScalarField
 from .operators import DiffusionOperator, dot, energy_form, folded_matrix, scaled_matrix
+from .rates import line_fit
 
 BASIS = 40  # Lanczos vectors per cycle: one (BASIS + 1, n) array
 KEPT = 10  # Ritz pairs kept at each thick restart
@@ -188,11 +189,8 @@ def _slope(epsilons, lambdas, n_points: int) -> tuple[float, float]:
     good = lam > 0
     if good.sum() < 2:
         return float("nan"), float("nan")
-    x, y = np.log(eps[good]), np.log(lam[good])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    rms = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return float(coef[0]), rms
+    slope, _, rms = line_fit(np.log(eps[good]), np.log(lam[good]))
+    return slope, rms
 
 
 def verify_eps_poincare(f: ScalarField, gamma: float, epsilons=None) -> dict:

@@ -74,6 +74,14 @@ PREDICTED_EXPONENTS = {
 }
 
 
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept: the slope, the intercept and the rms residual."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
+    rms = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+    return float(coef[0]), float(coef[1]), rms
+
+
 def _fit_window(traj: Trajectory, R: float, eq: ScalarField):
     """
     Usable samples of a sup-norm history: drop the scheme transient
@@ -133,13 +141,8 @@ def fit_decay(
     span = times.max() / times.min()
     if span < 10.0 - 1e-9 and not flags.get("saturated_window"):
         raise LandauLabError(f"fit window spans {span:.2f}x in t, need one decade")
-    x = np.log1p(1.0 / times)
-    y = np.log(sups)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    alpha_hat = float(coef[0])
-    amp = float(math.exp(coef[1]))
-    rms = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+    alpha_hat, intercept, rms = line_fit(np.log1p(1.0 / times), np.log(sups))
+    amp = float(math.exp(intercept))
     alpha_pred, beta_pred = PREDICTED_EXPONENTS[theorem_id](traj.gamma)
     beta_hat = None
     if R_sweep:
@@ -149,18 +152,11 @@ def fit_decay(
                 t_r, s_r = _fit_window(traj, r, eq)
                 if len(t_r) < 6:
                     continue
-                x_r = np.log1p(1.0 / t_r)
-                A_r = np.vstack([x_r, np.ones_like(x_r)]).T
-                c_r, _, _, _ = np.linalg.lstsq(A_r, np.log(s_r), rcond=None)
-                amps.append((math.log(r), float(c_r[1])))
+                amps.append((math.log(r), line_fit(np.log1p(1.0 / t_r), np.log(s_r))[1]))
             except GridError:
                 continue
         if len(amps) >= 2:
-            xs = np.array([a for a, _ in amps])
-            ys = np.array([b for _, b in amps])
-            B = np.vstack([xs, np.ones_like(xs)]).T
-            cb, _, _, _ = np.linalg.lstsq(B, ys, rcond=None)
-            beta_hat = float(cb[0])
+            beta_hat = line_fit(*np.array(amps).T)[0]
     return RateFit(
         theorem_id=theorem_id,
         R=R,

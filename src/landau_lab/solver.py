@@ -15,8 +15,10 @@ refinement loop keeps the residual in float64 and stops on it, and each of
 its passes runs conjugate gradients in float32 on the Jacobi-scaled copy
 diag(T)^(-1/2) T diag(T)^(-1/2), scaled once per step from the folded T.  The scaling is what makes float32 usable:
 T's diagonal follows the reference Gaussian down below float32's range,
-while the scaled matrix has a unit diagonal.  Each step reports the float32
-iterations, the outer passes and the final float64 residual.  Zero flux
+while the scaled matrix has a unit diagonal.  A float32 pass that does not
+lower the float64 residual, as on large steps, hands the remaining passes
+to the float64 scaled matrix.  Each step reports the CG iterations, the
+outer passes and the final float64 residual.  Zero flux
 through the truncation boundary keeps the lattice mass constant to solver
 tolerance, and negative nodes are clipped to zero with the clipped mass
 logged, never silently renormalized.
@@ -47,8 +49,8 @@ from .operators import (
 
 
 CG_TOL = 1e-10  # relative float64 residual at which the implicit solve stops
-INNER_TOL = 1e-3  # relative residual at which each float32 refinement pass stops
-CG_MAXITER = 4000  # float32 iterations of all refinement passes of one solve together
+INNER_TOL = 1e-3  # relative residual at which each refinement pass stops
+CG_MAXITER = 4000  # CG iterations of all refinement passes of one solve together
 MASS_DRIFT_TOL = 1e-5  # relative ledger mass drift at which a run aborts
 
 
@@ -105,7 +107,7 @@ class LedgerRow:
 class StepStats:
     """
     What a step did besides advancing f: its size, the drift flux out of the
-    box, the clipping, and the implicit solve's float32 iteration count,
+    box, the clipping, and the implicit solve's CG iteration count,
     final float64 relative residual and number of refinement passes.
     """
 
@@ -273,12 +275,12 @@ def _ledger_row(k: int, time: float, stats: StepStats, split: SplitOperator) -> 
     )
 
 
-def _cg32(S: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, int]:
+def _cg(S: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, int]:
     """
-    Plain conjugate gradients on the float32 system S y = b, ||b|| = 1, from
-    y = 0 until ||b - S y|| <= INNER_TOL or ``maxiter`` iterations.  Returns
-    y and the iteration count.  The reductions run in einsum, the vector
-    updates in place and in float32.
+    Plain conjugate gradients on the system S y = b, ||b|| = 1, from y = 0
+    until ||b - S y|| <= INNER_TOL or ``maxiter`` iterations.  Returns y and
+    the iteration count.  The reductions run in einsum, the vector updates in
+    place and in the precision of ``b``.
     """
     y = np.zeros_like(b)
     r = b.copy()
@@ -305,21 +307,24 @@ def _imex_solve(split: SplitOperator, dt: float, rhs: np.ndarray) -> tuple[np.nd
     ||r|| <= CG_TOL ||rhs|| for the float64 residual r = rhs - T u.
 
     Each outer pass solves the Jacobi-scaled correction system
-    S32 y = (w r)/||w r||, with w = diag(T)^(-1/2) and S32 = diag(w) T diag(w)
-    stored in float32, by ``_cg32`` and adds ||w r|| w y to u.  S32 has a unit
+    S y = (w r)/||w r||, with w = diag(T)^(-1/2) and S = diag(w) T diag(w)
+    stored in float32, by ``_cg`` and adds ||w r|| w y to u.  S has a unit
     diagonal and entries bounded by 1, so the float32 copy holds the system
     although diag(T) itself lies below float32's range in the tail of a wide
     box (3e-40 at the corners of an N=32, L=8 box at dt=0.01).  T is folded
-    once and S32 scaled from it.  ``CG_MAXITER`` caps the float32 iterations
-    of all passes together; the cap, or a pass that does not lower ||r||,
-    raises ``IterationError`` with the float64 residual and the iterate.
-    Returns f = M u, the float32 iteration count, the relative residual the
-    stop rule measured and the number of passes.
+    once and S scaled from it.  On a large step float32 rounding can hold a
+    pass back (gamma=-1, N=24, L=8, dt=0.4: the second pass raises ||r||);
+    the first float32 pass that does not lower ||r|| switches the remaining
+    passes to S stored in float64, through the same CG.  ``CG_MAXITER`` caps
+    the CG iterations of all passes together; the cap, or a float64 pass
+    that does not lower ||r||, raises ``IterationError`` with the float64
+    residual and the iterate.  Returns f = M u, the CG iteration count, the
+    relative residual the stop rule measured and the number of passes.
     """
     mref = split.mref.values.ravel()
     T = folded_matrix(split.matrix, mref, -dt)
     w = 1.0 / np.sqrt(T.diagonal())
-    S32 = scaled_matrix(T, w, np.float32)
+    S = scaled_matrix(T, w, np.float32)
     b = rhs.ravel()
     bnorm = math.sqrt(dot(b, b))
     x = b / mref
@@ -331,13 +336,16 @@ def _imex_solve(split: SplitOperator, dt: float, rhs: np.ndarray) -> tuple[np.nd
         if iterations < CG_MAXITER:
             s = w * r
             snorm = math.sqrt(dot(s, s))
-            y, count = _cg32(S32, (s / snorm).astype(np.float32), CG_MAXITER - iterations)
+            y, count = _cg(S, (s / snorm).astype(S.dtype), CG_MAXITER - iterations)
             iterations += count
             passes += 1
             x += snorm * (w * y)
             r = b - T @ x
             rnorm = math.sqrt(dot(r, r))
         if not rnorm < previous:
+            if S.dtype == np.float32 and iterations < CG_MAXITER:
+                S = scaled_matrix(T, w)
+                continue
             res = rnorm / bnorm
             raise IterationError(
                 f"implicit diffusion solve failed after {iterations} iterations (relative residual {res:.3g})",

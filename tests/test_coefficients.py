@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -69,8 +70,9 @@ def _tilted_gaussian(grid):
 
 @pytest.mark.parametrize("gamma", [-1.0, -2.5, 0.0])
 def test_fast_matches_direct_summation(gamma):
-    # pad = 2n - 1 at n = 8; pads 20 and 24 at n = 10 and 12 leave a zero gap
-    # between the wrapped kernel's positive and negative offsets.  At gamma = 0
+    # pads 16, 20 and 24 at n = 8, 10 and 12: P = 2n leaves one zero row, the
+    # row P/2, between the wrapped kernel's positive and negative offsets, the
+    # least gap an even pad allows.  At gamma = 0
     # the moment closed form is exact, and the tilted density exercises its
     # mean and off-diagonal covariance terms.
     tol = 1e-12 if gamma == 0.0 else 1e-9
@@ -132,14 +134,14 @@ def test_cached_spectra_are_real_half_spectra(monkeypatch, maxwellian16):
         assert spec.dtype == np.float64, kind
         assert spec.shape == (m, m, m), kind  # the parity octant
         assert spec.flags.c_contiguous, kind
-        assert spec.flags.owndata, kind  # a copy, not a view holding the full spectrum
+        assert spec.flags.owndata, kind  # not a view into a larger buffer
 
 
 # axes in which each wrapped kernel table is odd; the rest are even
 ODD_AXES = {"A01": (0, 1), "A02": (0, 2), "A12": (1, 2), "D0": (0,), "D1": (1,), "D2": (2,)}
 
 
-@pytest.mark.parametrize("n", [16, 6, 32])  # pads 32 (even), 11 and 63 (odd)
+@pytest.mark.parametrize("n", [16, 6, 8, 32])  # pads 32, 12, 16 and 64: always even
 def test_octant_unfolds_to_the_full_spectrum(n):
     grid = make_grid(3, 2.0, n)
     plan = co._ConvPlan(grid, -1.0)
@@ -163,11 +165,24 @@ def test_octant_unfolds_to_the_full_spectrum(n):
         assert np.max(np.abs(unfolded - full)) <= 1e-15 * np.max(np.abs(full)), (n, kind)
 
 
+@pytest.mark.parametrize("kind", ["h", "A01", "D2"])
+def test_cold_spectrum_allocates_less_than_one_full_table(kind):
+    # the octant transforms never hold a P^3 float64 table or a complex spectrum
+    plan = co._ConvPlan(make_grid(3, 8.0, 32), -1.0)
+    tracemalloc.start()
+    try:
+        plan.kernel_fft(kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.pad % 2 == 0 and peak < plan.pad**3 * 8, (plan.pad, peak)
+
+
 def test_plan_cache_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(co, "_plan_cache", OrderedDict())
-    grid = make_grid(3, 2.0, 6)  # pad 11, octant side 6: 6 * 6 * 6 * 8 = 1728 bytes per spectrum
+    grid = make_grid(3, 2.0, 6)  # pad 12, octant side 7: 7 * 7 * 7 * 8 = 2744 bytes per spectrum
     f = maxwellian(grid)
-    per_plan = 2 * 1728
+    per_plan = 2 * 2744
     monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 2 * per_plan)
     for gamma in (-1.0, -2.0):
         co.fft_convolve(f, gamma, ["h", "a"])
@@ -184,10 +199,10 @@ def test_plan_over_budget_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(co, "_plan_cache", OrderedDict())
     monkeypatch.setattr(co, "_PLAN_BYTE_BUDGET", 3_000)
     f = maxwellian(make_grid(3, 2.0, 6))
-    co.fft_convolve(f, -1.0, ["h"])  # 1728 bytes fit
+    co.fft_convolve(f, -1.0, ["h"])  # 2744 bytes fit
     with pytest.raises(MemoryCapError) as err:
         co.fft_convolve(f, -1.0, ["h", "a"])
-    assert "3456 bytes" in str(err.value) and "3000 bytes" in str(err.value)
+    assert "5488 bytes" in str(err.value) and "3000 bytes" in str(err.value)
     with pytest.raises(MemoryCapError):
         co.build_coefficients(maxwellian(make_grid(3, 2.0, 64)), -1.0)
     assert [list(p.kernel_ffts) for p in co._plan_cache.values()] == [["h"]]

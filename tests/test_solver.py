@@ -293,6 +293,21 @@ def test_imex_solve_stalled_pass_raises(rng, monkeypatch):
     assert "after 0 iterations" in str(info.value)
 
 
+def test_imex_solve_finishes_a_large_step_in_float64():
+    # a float32 pass that does not lower the residual hands the rest of the
+    # solve to float64 passes: at dt=0.4 on this gamma=-1 state the second
+    # float32 pass raises ||r||, and auto_dt allows the step
+    f0 = squeezed_gaussian(make_grid(3, 8.0, 24), 0.5)
+    split = split_of(f0, -1.0)
+    assert solver.auto_dt(split) > 0.4
+    f, stats = step(split, 0.4)
+    assert stats.residual <= CG_TOL and stats.passes > 2
+    rhs = f0.values - 0.4 * split.drift_div
+    assert _relative_residual(split, 0.4, rhs, f.values) <= CG_TOL
+    traj = simulate(f0, -1.0, 0.4)
+    assert [row.dt for row in traj.ledger] == [0.0, 0.4]
+
+
 def bkw_values(grid, K):
     """Node values of the BKW solution f_K of the gamma=0 equation (C_A = 1/6, unit temperature); K may be complex."""
     r2 = grid.radius_squared()
