@@ -107,6 +107,10 @@ def parse_config(raw: dict) -> dict:
     if cfg["gamma"] is not None and cfg["dim"] is not None:
         if not -cfg["dim"] <= cfg["gamma"] <= 0:
             problems.append(f"field 'gamma' must lie in [-{cfg['dim']}, 0], got {cfg['gamma']}")
+        elif cfg["points_per_axis"] is not None and cfg["points_per_axis"] > 0:
+            over = coeff.plan_budget_problem(cfg["points_per_axis"], cfg["gamma"])
+            if over:
+                problems.append(over)
     if cfg["t_final"] is not None and not 0 <= cfg["t_final"] < np.inf:
         problems.append(f"field 't_final' must be finite and nonnegative, got {cfg['t_final']}")
     if problems:

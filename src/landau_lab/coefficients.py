@@ -208,6 +208,39 @@ def kernel_point_values(
 _PLAN_BYTE_BUDGET = 2**30  # bytes of kernel spectra the plan cache may hold
 
 
+def _pad(n: int) -> int:
+    """FFT box side of the plan for an N = n lattice: the smallest even fast length >= 2n - 1."""
+    return 2 * sfft.next_fast_len(n)
+
+
+def _bundle_kinds(gamma: float) -> list[str]:
+    """The kernel kinds of one coefficient bundle: six A_ij, three D_i, and h unless gamma = -3."""
+    kinds = [f"A{i}{j}" for i, j in COMPONENT_PAIRS] + [f"D{i}" for i in range(3)]
+    return kinds if gamma == -3 else kinds + ["h"]
+
+
+def _spectra_bytes(n: int, n_kinds: int) -> int:
+    """Bytes of ``n_kinds`` cached spectra on an N = n lattice: a (P/2 + 1)^3 float64 octant each."""
+    return (_pad(n) // 2 + 1) ** 3 * 8 * n_kinds
+
+
+def plan_budget_problem(n: int, gamma: float, kinds=None) -> str | None:
+    """
+    Why the cached spectra of ``kinds`` (default: one bundle's) on an N = n
+    lattice would overflow the plan cache budget, or None if they fit.
+    gamma = 0 builds no plan.
+    """
+    if gamma == 0:
+        return None
+    need = _spectra_bytes(n, len(_bundle_kinds(gamma) if kinds is None else kinds))
+    if need <= _PLAN_BYTE_BUDGET:
+        return None
+    return (
+        f"kernel spectra for N={n}, gamma={gamma} need {need} bytes, "
+        f"over the plan cache budget of {_PLAN_BYTE_BUDGET} bytes"
+    )
+
+
 def _odd_axes(kind: str) -> tuple[int, ...]:
     """Axes in which the wrapped table of ``kind`` is odd: i and j for A_ij with i != j, i for D_i."""
     if kind.startswith("D"):
@@ -221,8 +254,7 @@ class _ConvPlan:
     def __init__(self, grid: VelocityGrid, gamma: float):
         self.grid = grid
         self.gamma = gamma
-        self.pad = 2 * sfft.next_fast_len(grid.points_per_axis)  # the smallest even fast length >= 2N - 1
-        self.spectrum_bytes = (self.pad // 2 + 1) ** 3 * 8
+        self.pad = _pad(grid.points_per_axis)
         self.kernel_ffts: dict[str, np.ndarray] = {}
 
     def nbytes(self) -> int:
@@ -264,12 +296,11 @@ def _get_plan(grid: VelocityGrid, gamma: float, kinds: list[str]) -> _ConvPlan:
     """The (grid, gamma) plan, with least-recently-used plans evicted until its spectra fit."""
     key = (grid.key(), round(gamma, 12))
     plan = _plan_cache.get(key) or _ConvPlan(grid, gamma)
-    need = plan.spectrum_bytes * len(plan.kernel_ffts.keys() | set(kinds))
-    if need > _PLAN_BYTE_BUDGET:
-        raise MemoryCapError(
-            f"kernel spectra for N={grid.points_per_axis}, gamma={gamma} need {need} bytes, "
-            f"over the plan cache budget of {_PLAN_BYTE_BUDGET} bytes"
-        )
+    held = plan.kernel_ffts.keys() | set(kinds)
+    problem = plan_budget_problem(grid.points_per_axis, gamma, held)
+    if problem:
+        raise MemoryCapError(problem)
+    need = _spectra_bytes(grid.points_per_axis, len(held))
     _plan_cache.pop(key, None)
     while need + sum(p.nbytes() for p in _plan_cache.values()) > _PLAN_BYTE_BUDGET:
         _plan_cache.popitem(last=False)
@@ -556,10 +587,7 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     g = _check_gamma(gamma)
     f.require_density("density")
     consts = kernel_constants(g)
-    kinds = [f"A{i}{j}" for i, j in COMPONENT_PAIRS] + [f"D{i}" for i in range(f.grid.dim)]
-    if g != -3:
-        kinds.append("h")
-    convs = fft_convolve(f, g, kinds)
+    convs = fft_convolve(f, g, _bundle_kinds(g))
     nA = len(COMPONENT_PAIRS)
     comps = np.stack([consts["C_A"] * c for c in convs[:nA]])
     A = MatrixField(f.grid, comps)

@@ -88,6 +88,19 @@ def test_parse_config_rejects_other_dimensions():
         assert err.value.problems == [f"field 'grid.dim' must be 3, got {dim}"]
 
 
+def test_parse_config_checks_the_plan_budget():
+    # N=232 pads to P=480: 241^3 * 8 = 111,980,168 bytes per cached spectrum
+    grid = {"dim": 3, "half_extent": 8.0, "points_per_axis": 232}
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(minimal_config(grid=grid, gamma=-1.0))
+    assert err.value.problems == [
+        "kernel spectra for N=232, gamma=-1.0 need 1119801680 bytes, "
+        "over the plan cache budget of 1073741824 bytes"
+    ]
+    assert cli.parse_config(minimal_config(grid=grid, gamma=-3.0))["gamma"] == -3.0  # 9 kinds: 1,007,821,512 B
+    assert cli.parse_config(minimal_config(grid=grid, gamma=0.0))["gamma"] == 0.0  # no plan
+
+
 def test_parse_config_rejects_non_finite_half_extent():
     for bad in (float("nan"), float("inf"), 0.0):
         cfg = minimal_config(grid={"dim": 3, "half_extent": bad, "points_per_axis": 12}, gamma=-5.0)

@@ -150,6 +150,21 @@ def test_doubling_maxwellian_vs_shell(grid24, maxwellian24):
     assert rep_s.value >= 10.0 * rep_m.value
 
 
+def test_doubling_ignores_roundoff_in_the_tail(maxwellian24):
+    # noise of at most 1e-13 max f on the nodes below 1e-12 max f: without the
+    # bulk floor the constant went 3337.03 at (20, 6, 4) -> 2368.85 at (19, 4, 18)
+    ref = doubling_constant(maxwellian24)
+    top = float(maxwellian24.values.max())
+    for seed in range(3):
+        vals = maxwellian24.values.copy()
+        tail = vals < 1e-12 * top
+        vals[tail] += 1e-13 * top * np.random.default_rng(seed).random(np.count_nonzero(tail))
+        rep = doubling_constant(ScalarField(maxwellian24.grid, vals))
+        assert abs(rep.value - ref.value) <= 1e-9 * ref.value, seed
+        assert rep.parameters == ref.parameters, seed
+    assert ref.excluded_cubes > 0
+
+
 def test_doubling_rejects_zero(grid16):
     zero = ScalarField(grid16, np.zeros(grid16.shape))
     with pytest.raises(Exception):
@@ -212,6 +227,27 @@ def test_cube_family_averages_match_direct(grid16, rng):
         block = vals[cubes.cubes[k].slices()]
         assert avg[k] == pytest.approx(float(np.mean(block)), rel=1e-12)
         assert low[k] == np.min(block)
+
+
+@pytest.mark.parametrize("n, base_cells", [(16, 8), (24, 12)])  # sides 8, 4, 2 and 12, 6, 3 cells
+@pytest.mark.parametrize("field", ["random", "gaussian_tail"])
+def test_pyramid_matches_every_block(n, base_cells, field):
+    g = make_grid(3, 8.0, n)
+    cubes = make_dyadic_cubes(g, base_cells * g.spacing, 2)
+    assert cubes.cells == (base_cells, base_cells // 2, base_cells // 4)
+    if field == "random":
+        vals = np.random.default_rng(n).random(g.shape)
+    else:  # from 1 at the centre down to 1e-300 in the corners
+        r2 = g.radius_squared()
+        vals = np.exp(np.log(1e-300) * (r2 - r2.min()) / (r2.max() - r2.min()))
+        assert vals.max() == 1.0 and vals.min() == pytest.approx(1e-300, rel=1e-9)
+    avg = cube_family_averages(vals, cubes)
+    low = cube_family_minima(vals, cubes)
+    assert avg.shape == low.shape == (len(cubes),)
+    for k, cube in enumerate(cubes.cubes):
+        block = vals[cube.slices()]
+        assert low[k] == np.min(block), k
+        assert abs(avg[k] - np.mean(block)) <= 1e-14 * np.mean(block), k
 
 
 def test_weight_functionals_read_only_the_level_arrays(grid16, monkeypatch, rng):
