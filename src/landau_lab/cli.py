@@ -74,6 +74,10 @@ def parse_config(raw: dict) -> dict:
     if cfg["half_extent"] is not None and not 0 < cfg["half_extent"] < np.inf:
         problems.append(f"field 'grid.half_extent' must be finite and > 0, got {cfg['half_extent']}")
     cfg["points_per_axis"] = need("grid.points_per_axis", _integer)
+    n = cfg["points_per_axis"]
+    n_valid = n is not None and n >= 4 and n % 2 == 0
+    if n is not None and not n_valid:
+        problems.append(f"field 'grid.points_per_axis' must be even and >= 4, got {n}")
     cfg["gamma"] = need("gamma", float)
     cfg["scheme"] = need("scheme", str, default="imex", required=False)
     if cfg["scheme"] != "imex":
@@ -107,8 +111,8 @@ def parse_config(raw: dict) -> dict:
     if cfg["gamma"] is not None and cfg["dim"] is not None:
         if not -cfg["dim"] <= cfg["gamma"] <= 0:
             problems.append(f"field 'gamma' must lie in [-{cfg['dim']}, 0], got {cfg['gamma']}")
-        elif cfg["points_per_axis"] is not None and cfg["points_per_axis"] > 0:
-            over = coeff.plan_budget_problem(cfg["points_per_axis"], cfg["gamma"])
+        elif n_valid:
+            over = coeff.plan_budget_problem(n, cfg["gamma"])
             if over:
                 problems.append(over)
     if cfg["t_final"] is not None and not 0 <= cfg["t_final"] < np.inf:

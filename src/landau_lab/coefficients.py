@@ -44,12 +44,15 @@ factor, computed from the table's own octant of offsets 0..m-1 (the sampled
 offsets 0..N-1, then zeros) by one real transform per axis: a DCT-I along an
 even axis, a DST-I of the inner rows 1..m-2 along an odd one (Martucci, IEEE
 Trans. Signal Process. 42, 1994).  No P^3 table and no complex spectrum is
-built.  The ten spectra of an N=64 plan take 21 MiB, and the 1 GiB budget
-first refuses a ten-kind bundle at N=232.  The product unfolds the octant
-through reversed views, negated where an odd axis flips.  f fills [0, N)^3 of
-the box, so the forward transform runs only over its nonzero lines, and each
-inverse transform keeps only the N output lines it needs on every axis: the
-result is [0, N)^3.
+built.  The kernels are isotropic, so a plan stores one octant per
+axis-permutation class, A00, A01, D0 and h (and a when asked), and serves
+A11, A22, A02, A12, D1 and D2 as axis transposes of them, whose odd axes move
+with the transpose.  The four octants of an N=64 bundle take 8.4 MiB, and the
+1 GiB budget first refuses a gamma < 0 bundle at N=322.  The product unfolds
+the octant through reversed views, negated where an odd axis flips.  f fills
+[0, N)^3 of the box, so the forward transform runs only over its nonzero
+lines, and each inverse transform keeps only the N output lines it needs on
+every axis: the result is [0, N)^3.
 """
 
 from __future__ import annotations
@@ -219,6 +222,24 @@ def _bundle_kinds(gamma: float) -> list[str]:
     return kinds if gamma == -3 else kinds + ["h"]
 
 
+#: kinds served as an axis transpose of their class representative's spectrum.
+#: The kernels are isotropic, so permuting the offset axes permutes the
+#: components: A11(z) = A00(z1, z0, z2), A12(z) = A01(z2, z1, z0), and so on.
+_TRANSPOSED = {
+    "A11": ("A00", (1, 0, 2)),
+    "A22": ("A00", (2, 1, 0)),
+    "A02": ("A01", (0, 2, 1)),
+    "A12": ("A01", (2, 1, 0)),
+    "D1": ("D0", (1, 0, 2)),
+    "D2": ("D0", (2, 1, 0)),
+}
+
+
+def _stored_kinds(kinds) -> set[str]:
+    """The kinds a plan stores to serve ``kinds``: the class representative of each."""
+    return {_TRANSPOSED[k][0] if k in _TRANSPOSED else k for k in kinds}
+
+
 def _spectra_bytes(n: int, n_kinds: int) -> int:
     """Bytes of ``n_kinds`` cached spectra on an N = n lattice: a (P/2 + 1)^3 float64 octant each."""
     return (_pad(n) // 2 + 1) ** 3 * 8 * n_kinds
@@ -226,13 +247,13 @@ def _spectra_bytes(n: int, n_kinds: int) -> int:
 
 def plan_budget_problem(n: int, gamma: float, kinds=None) -> str | None:
     """
-    Why the cached spectra of ``kinds`` (default: one bundle's) on an N = n
-    lattice would overflow the plan cache budget, or None if they fit.
-    gamma = 0 builds no plan.
+    Why the spectra a plan stores to serve ``kinds`` (default: one bundle's)
+    on an N = n lattice would overflow the plan cache budget, or None if they
+    fit.  gamma = 0 builds no plan.
     """
     if gamma == 0:
         return None
-    need = _spectra_bytes(n, len(_bundle_kinds(gamma) if kinds is None else kinds))
+    need = _spectra_bytes(n, len(_stored_kinds(_bundle_kinds(gamma) if kinds is None else kinds)))
     if need <= _PLAN_BYTE_BUDGET:
         return None
     return (
@@ -267,8 +288,12 @@ class _ConvPlan:
         spectrum: a DCT-I of the table's own octant along each even axis, a
         DST-I of its inner rows 1..m-2 along each odd axis (rows 0 and m-1
         are zero there), negated if any axis is odd, since each odd axis
-        contributes a factor -i.
+        contributes a factor -i.  Only class representatives are stored; the
+        other kinds are transposed views of them.
         """
+        if kind in _TRANSPOSED:
+            rep, axes = _TRANSPOSED[kind]
+            return self.kernel_fft(rep).transpose(axes)
         if kind not in self.kernel_ffts:
             n, m = self.grid.points_per_axis, self.pad // 2 + 1
             z1 = np.arange(n) * self.grid.spacing  # the octant of offsets 0..n-1
@@ -296,7 +321,7 @@ def _get_plan(grid: VelocityGrid, gamma: float, kinds: list[str]) -> _ConvPlan:
     """The (grid, gamma) plan, with least-recently-used plans evicted until its spectra fit."""
     key = (grid.key(), round(gamma, 12))
     plan = _plan_cache.get(key) or _ConvPlan(grid, gamma)
-    held = plan.kernel_ffts.keys() | set(kinds)
+    held = plan.kernel_ffts.keys() | _stored_kinds(kinds)
     problem = plan_budget_problem(grid.points_per_axis, gamma, held)
     if problem:
         raise MemoryCapError(problem)

@@ -4,11 +4,12 @@ Hölder constants, local doubling, and the cube ratio coupling the reaction
 and diffusion coefficients.
 
 All suprema run over explicit lattice-aligned families (deterministic and
-reproducible).  Each level of a family tiles the box in C order, and each
-cube is the union of 2^d cubes of the level below, so the cube sums and minima
-of a family form a dyadic pyramid: the finest level is reduced from the nodes
-and every coarser level from the one below it.  A family costs one pass over
-the nodes.
+reproducible).  Each reports the supremum itself, with the first cube in
+family order within a roundoff tie tolerance of it as the witness.  Each level
+of a family tiles the box in C order, and each cube is the union of 2^d cubes
+of the level below, so the cube sums and minima of a family form a dyadic
+pyramid: the finest level is reduced from the nodes and every coarser level
+from the one below it.  A family costs one pass over the nodes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ BULK_FRACTION = 1e-6
 #: ball sums carry an FFT roundoff of about eps times the mass, so admitted
 #: doubling ratios this close to the supremum tie; the witness is the first
 _TIE_RTOL = 1e3 * np.finfo(float).eps / BULK_FRACTION
+#: mirror cubes of a symmetric weight tie up to roundoff: on the N=24 Maxwellian
+#: their cube constants spread by 6.7e-15 relative, and the next
+#: distinct value lies 1.2e-3 below, so cube constants this close to the
+#: supremum tie; the witness is the first in family order
+_CUBE_TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -96,6 +102,12 @@ def cube_family_minima(values: np.ndarray, cubes: CubeSet) -> np.ndarray:
     return _per_cube(values, cubes, np.minimum)
 
 
+def _supremum(vals: np.ndarray, rtol: float) -> tuple[float, int]:
+    """The largest of ``vals`` (NaN ignored; positive) and the first flat index within ``rtol`` of it."""
+    best = float(np.nanmax(vals))
+    return best, int(np.argmax(vals >= best * (1.0 - rtol)))
+
+
 def _cube_set_summary(cubes: CubeSet) -> dict:
     return {
         "base_side": cubes.base_side,
@@ -122,11 +134,11 @@ def ap_constant(w: ScalarField, p: float, cubes: CubeSet, weight_id: str = "w") 
     avg_w = cube_family_averages(w.values, cubes)
     avg_dual = cube_family_averages(w.values ** (-1.0 / (p - 1.0)), cubes)
     vals = avg_w * avg_dual ** (p - 1.0)
-    k = int(np.argmax(vals))
+    best, k = _supremum(vals, _CUBE_TIE_RTOL)
     return WeightReport(
         weight_id=weight_id,
         constant_name="Ap",
-        value=float(vals[k]),
+        value=best,
         argmax_cube=k,
         cube_set=_cube_set_summary(cubes),
         parameters={"p": p},
@@ -140,11 +152,11 @@ def a1_constant(w: ScalarField, cubes: CubeSet, weight_id: str = "w") -> WeightR
     avg_w = cube_family_averages(w.values, cubes)
     min_w = cube_family_minima(w.values, cubes)
     vals = avg_w / min_w
-    k = int(np.argmax(vals))
+    best, k = _supremum(vals, _CUBE_TIE_RTOL)
     return WeightReport(
         weight_id=weight_id,
         constant_name="A1",
-        value=float(vals[k]),
+        value=best,
         argmax_cube=k,
         cube_set=_cube_set_summary(cubes),
         parameters={},
@@ -166,11 +178,11 @@ def reverse_holder(w: ScalarField, m: float, cubes: CubeSet) -> WeightReport:
     vals[alive] = avg_wm[alive] ** (1.0 / m) / avg_w[alive]
     if not alive.any():
         raise EmptyRegionError("every cube is degenerate for this weight")
-    k = int(np.nanargmax(vals))
+    best, k = _supremum(vals, _CUBE_TIE_RTOL)
     return WeightReport(
         weight_id="w",
         constant_name=f"RH({m})",
-        value=float(vals[k]),
+        value=best,
         argmax_cube=k,
         cube_set=_cube_set_summary(cubes),
         parameters={"m": m},
@@ -226,10 +238,10 @@ def doubling_constant(
         if centers_mask is not None:
             alive &= centers_mask
         ratio[...] = np.where(alive, ball_sum_field(f, 2.0 * r) / np.where(alive, inner, 1.0), -np.inf)
-    best = float(np.max(ratios))
+    best, first = _supremum(ratios, _TIE_RTOL)
     if best == -np.inf:
         raise EmptyRegionError("no admissible (center, radius) pair")
-    k, *node = np.unravel_index(int(np.argmax(ratios >= best * (1.0 - _TIE_RTOL))), ratios.shape)
+    k, *node = np.unravel_index(first, ratios.shape)
     return WeightReport(
         weight_id="f",
         constant_name="C_D",

@@ -89,16 +89,35 @@ def test_parse_config_rejects_other_dimensions():
 
 
 def test_parse_config_checks_the_plan_budget():
-    # N=232 pads to P=480: 241^3 * 8 = 111,980,168 bytes per cached spectrum
-    grid = {"dim": 3, "half_extent": 8.0, "points_per_axis": 232}
+    # a bundle stores 4 octants of (P/2 + 1)^3 float64 each, 3 at gamma = -3 (h = f);
+    # N=322 pads to P=648: 4 * 325^3 * 8 = 1,098,500,000 bytes
+    def grid(n):
+        return {"dim": 3, "half_extent": 8.0, "points_per_axis": n}
+
     with pytest.raises(ConfigError) as err:
-        cli.parse_config(minimal_config(grid=grid, gamma=-1.0))
+        cli.parse_config(minimal_config(grid=grid(322), gamma=-1.0))
     assert err.value.problems == [
-        "kernel spectra for N=232, gamma=-1.0 need 1119801680 bytes, "
+        "kernel spectra for N=322, gamma=-1.0 need 1098500000 bytes, "
         "over the plan cache budget of 1073741824 bytes"
     ]
-    assert cli.parse_config(minimal_config(grid=grid, gamma=-3.0))["gamma"] == -3.0  # 9 kinds: 1,007,821,512 B
-    assert cli.parse_config(minimal_config(grid=grid, gamma=0.0))["gamma"] == 0.0  # no plan
+    assert cli.parse_config(minimal_config(grid=grid(320), gamma=-1.0))["gamma"] == -1.0  # 1,058,437,152 B
+    assert cli.parse_config(minimal_config(grid=grid(352), gamma=-3.0))["gamma"] == -3.0  # 1,055,687,448 B
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(minimal_config(grid=grid(354), gamma=-3.0))  # P=720
+    assert "need 1129101144 bytes" in err.value.problems[0]
+    assert cli.parse_config(minimal_config(grid=grid(322), gamma=0.0))["gamma"] == 0.0  # no plan
+
+
+def test_parse_config_checks_the_points_per_axis():
+    for bad in (0, -4, 13):
+        grid = {"dim": 3, "half_extent": 8.0, "points_per_axis": bad}
+        cfg = minimal_config(grid=grid, gamma=-1.0, t_final=-1.0)
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(cfg)
+        assert err.value.problems == [
+            f"field 'grid.points_per_axis' must be even and >= 4, got {bad}",
+            "field 't_final' must be finite and nonnegative, got -1.0",
+        ]
 
 
 def test_parse_config_rejects_non_finite_half_extent():

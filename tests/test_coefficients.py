@@ -125,16 +125,29 @@ def test_fft_results_identical_for_any_worker_count(monkeypatch, rng):
 
 
 def test_cached_spectra_are_real_half_spectra(monkeypatch, maxwellian16):
+    # a bundle stores one spectrum per axis-permutation class; the rest are transposed views
+    for gamma, stored in ((-1.0, ["A00", "A01", "D0", "h"]), (-3.0, ["A00", "A01", "D0"])):
+        monkeypatch.setattr(co, "_plan_cache", OrderedDict())
+        co.build_coefficients(maxwellian16, gamma)
+        (plan,) = co._plan_cache.values()
+        m = plan.pad // 2 + 1
+        assert sorted(plan.kernel_ffts) == stored
+        assert plan.nbytes() == len(stored) * m**3 * 8
+        for kind, spec in plan.kernel_ffts.items():
+            assert spec.dtype == np.float64, kind
+            assert spec.shape == (m, m, m), kind  # the parity octant
+            assert spec.flags.c_contiguous, kind
+            assert spec.flags.owndata, kind  # not a view into a larger buffer
+
+
+def test_matrix_field_stores_only_the_a_representatives(monkeypatch, maxwellian16):
     monkeypatch.setattr(co, "_plan_cache", OrderedDict())
-    co.fft_convolve(maxwellian16, -1.0, ALL_KINDS)
+    co.matrix_field(maxwellian16, -1.0)
     (plan,) = co._plan_cache.values()
-    m = plan.pad // 2 + 1
-    assert sorted(plan.kernel_ffts) == sorted(ALL_KINDS)
-    for kind, spec in plan.kernel_ffts.items():
-        assert spec.dtype == np.float64, kind
-        assert spec.shape == (m, m, m), kind  # the parity octant
-        assert spec.flags.c_contiguous, kind
-        assert spec.flags.owndata, kind  # not a view into a larger buffer
+    assert sorted(plan.kernel_ffts) == ["A00", "A01"]
+    co.build_coefficients(maxwellian16, -1.0)
+    assert list(co._plan_cache.values()) == [plan]
+    assert sorted(plan.kernel_ffts) == ["A00", "A01", "D0", "h"]
 
 
 # axes in which each wrapped kernel table is odd; the rest are even

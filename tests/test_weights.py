@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from landau_lab import coefficients as co
+from landau_lab import weights
+from landau_lab.cli import default_cube_family
 from landau_lab.errors import WeightPositivityError
 from landau_lab.grid import (
     CubeSet,
@@ -163,6 +165,30 @@ def test_doubling_ignores_roundoff_in_the_tail(maxwellian24):
         assert abs(rep.value - ref.value) <= 1e-9 * ref.value, seed
         assert rep.parameters == ref.parameters, seed
     assert ref.excluded_cubes > 0
+
+
+def test_cube_witnesses_ignore_roundoff(maxwellian24):
+    # mirror cubes of the Maxwellian tie: a 1e-15 relative perturbation of the
+    # weight used to move the witness between them (rh2 at gamma=-3: 219 -> 291)
+    cubes = default_cube_family(maxwellian24.grid)
+    spread = 0.0
+    for gamma in (-3.0, -2.5, -1.0):
+        b = co.build_coefficients(maxwellian24, gamma)
+        for name, functional, w in (
+            ("ap2", lambda w: ap_constant(w, 2.0, cubes), b.a),
+            ("a1", lambda w: a1_constant(w, cubes), b.a),
+            ("rh2", lambda w: reverse_holder(w, 2.0, cubes), b.a),
+            ("a1*", lambda w: a1_constant(w, cubes), b.a_star),
+        ):
+            ref = functional(w)
+            for seed in range(3):
+                noise = np.random.default_rng(seed).uniform(-1e-15, 1e-15, w.values.shape)
+                rep = functional(ScalarField(w.grid, w.values * (1.0 + noise)))
+                assert rep.argmax_cube == ref.argmax_cube, (gamma, name, seed)
+                assert abs(rep.value - ref.value) <= 1e-12 * ref.value, (gamma, name, seed)
+                ties = np.abs(rep.per_cube - ref.value) <= 1e-9 * ref.value
+                spread = max(spread, float(np.ptp(rep.per_cube[ties])) / ref.value)
+    assert spread < 0.1 * weights._CUBE_TIE_RTOL, spread  # measured 6.7e-15
 
 
 def test_doubling_rejects_zero(grid16):
