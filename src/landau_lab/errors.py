@@ -44,7 +44,10 @@ class EigenSolveError(LandauLabError, RuntimeError):
 
 
 class IterationError(LandauLabError, RuntimeError):
-    """Iterative solver did not converge; carries the last residual (and iterate, for linear solves)."""
+    """
+    Iterative solver did not converge; carries the last residual and iterate (the solution
+    of a linear solve, the Ritz pair (value, vector) of an eigensolve).
+    """
 
     def __init__(self, message: str, residual: float | None = None, iterate=None):
         super().__init__(message)

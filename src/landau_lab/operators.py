@@ -12,6 +12,9 @@ second-order consistent while keeping
     x . (L x) <= 0        exactly (sum of per-cell PSD forms),
     sum_v (L x)_v = 0      exactly in the zero-flux variant.
 
+The operator exists only assembled: ``diffusion_matrix`` writes the form's
+closed-form 13-point stencil straight into diagonal storage, which the
+implicit step and the coercivity functional fold into their Krylov systems.
 Two boundary treatments: 'flux' (no flux through the box boundary, used by
 the time stepper; conserves mass to roundoff) and 'dirichlet' (a ghost layer
 of zeros, used by the spectral functional where test functions are compactly
@@ -151,146 +154,91 @@ def boundary_drift_flux(f: np.ndarray, drift: list[np.ndarray], spacing: float) 
     return total
 
 
-def _cell_average_comps(comps: np.ndarray) -> np.ndarray:
-    """Average matrix components over the 2^d corners of each forward cell."""
-    d = comps.ndim - 1
-    n = comps.shape[1]
-    acc = np.zeros((comps.shape[0],) + (n - 1,) * d)
-    for offsets in itertools.product((0, 1), repeat=d):
-        sl = (slice(None),) + tuple(slice(o, n - 1 + o) for o in offsets)
-        acc += comps[sl]
-    return acc / 2.0**d
-
-
-class DiffusionOperator:
+def diffusion_matrix(A: MatrixField, bc: str = "flux", cell_weight: np.ndarray | None = None) -> sparse.dia_matrix:
     """
-    Matrix-free symmetric discretization of x -> div(A grad x).
+    The form's operator x -> div(A grad x), assembled in diagonal storage
+    from its closed-form stencil.  ``bc='flux'`` conserves the node sum
+    exactly; ``bc='dirichlet'`` clamps a ghost layer of nodes to zero, its
+    cells averaging the edge-extended A.  ``cell_weight``, if given,
+    multiplies the averaged matrix of every forward cell.
 
-    Negative semidefinite by construction; ``bc='flux'`` conserves the node
-    sum exactly, ``bc='dirichlet'`` clamps a ghost layer to zero.
+    The base-corner gradient of a cell couples its base node c with c+e_i,
+    and c+e_i with c+e_j; the far-corner gradient does the same around the
+    far node.  A node therefore couples to itself, to its neighbours at
+    +-e_i and to those at +-(e_i - e_j): 1 + d + d^2 diagonals, each a sum of
+    cell-averaged components read at shifted cells.  Couplings that leave
+    the lattice (Dirichlet ghost layer included) are stored as zeros.  The
+    cell averages accumulate in place inside a zero layer, and every weight
+    is written straight into its row of the diagonal data and mirrored into
+    the row of the opposite offset: besides the data, the assembly holds one
+    cell array and a few node arrays of temporaries.
     """
+    if bc not in ("flux", "dirichlet"):
+        raise ValueError(f"unknown boundary treatment {bc!r}")
+    grid = A.grid
+    d, h, n = grid.dim, grid.spacing, grid.points_per_axis
+    comps = A.comps if bc == "flux" else np.pad(A.comps, [(0, 0)] + [(1, 1)] * d, mode="edge")
+    m = comps.shape[1]  # nodes per axis, ghost layer included
+    if cell_weight is not None and cell_weight.shape != (m - 1,) * d:
+        raise ValueError("cell_weight must live on forward cells")
+    # cell averages inside a zero layer: node p reads cell p + s, s in {-1, 0}^d
+    cells = np.zeros((comps.shape[0],) + (m + 1,) * d)
+    inner = cells[(slice(None),) + (slice(1, -1),) * d]
+    for corner in itertools.product((0, 1), repeat=d):
+        inner += comps[(slice(None),) + tuple(slice(o, m - 1 + o) for o in corner)]
+    inner /= 2.0**d
+    if cell_weight is not None:
+        inner *= cell_weight
+    core = 1 if bc == "dirichlet" else 0
 
-    def __init__(self, A: MatrixField, bc: str = "flux", cell_weight: np.ndarray | None = None):
-        if bc not in ("flux", "dirichlet"):
-            raise ValueError(f"unknown boundary treatment {bc!r}")
-        self.grid: VelocityGrid = A.grid
-        self.bc = bc
-        self.spacing = A.grid.spacing
-        if bc == "flux":
-            comps = A.comps
-        else:
-            comps = np.stack([np.pad(c, 1, mode="edge") for c in A.comps])
-        self._abar = _cell_average_comps(comps)
-        if cell_weight is not None:
-            if cell_weight.shape != self._abar[0].shape:
-                raise ValueError("cell_weight must live on forward cells")
-            self._abar = self._abar * cell_weight
+    def at(i, j, shift):  # a_ij of cell p + shift, on every node p
+        comp = cells[COMPONENT_ROW[i, j]]
+        return comp[tuple(slice(s + 1 + core, s + 1 + m - core) for s in shift)]
 
-    def _cell_gradients(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        d, h = self.grid.dim, self.spacing
-        base = tuple(slice(0, -1) for _ in range(d))
-        far = tuple(slice(1, None) for _ in range(d))
-        gp, gm = [], []
-        for ax in range(d):
-            up = list(base)
-            up[ax] = slice(1, None)
-            gp.append((x[tuple(up)] - x[base]) / h)
-            dn = list(far)
-            dn[ax] = slice(0, -1)
-            gm.append((x[far] - x[tuple(dn)]) / h)
-        return gp, gm
+    zero, down = (0,) * d, (-1,) * d
+    unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    back = [_negated(u) for u in unit]  # p - e_i
+    far = [tuple(e - 1 for e in u) for u in unit]  # p + e_i - 1
+    pairs = [(i, j) for j in range(d) for i in range(j)]
+    cross = [tuple(a - b for a, b in zip(unit[i], unit[j])) for i, j in pairs]  # e_i - e_j
+    strides = [n ** (d - 1 - ax) for ax in range(d)]
+    steps = {o: int(np.dot(o, strides)) for off in [zero] + unit + cross for o in (off, _negated(off))}
+    offsets = sorted(steps, key=steps.get)  # column minus row; a product then sums each row in column order
+    size = grid.n_nodes
+    data = np.zeros((len(offsets), size))
+    # diagonal k holds A[p, p + step_k] at column p + step_k, which by symmetry is the
+    # weight of the opposite offset at node p + step_k: the row of -off holds the
+    # weight of off at its own node, the row of off that weight moved by off
+    row = {off: data[k].reshape(grid.shape) for k, off in enumerate(offsets)}
+    scale = -0.5 / h**2
+    centre = sum(at(i, j, zero) + at(i, j, down) for i in range(d) for j in range(d))
+    centre += sum(at(i, i, back[i]) + at(i, i, far[i]) for i in range(d))
+    np.multiply(scale, centre, out=row[zero])
+    weight = {}
+    for j in range(d):
+        w = weight[unit[j]] = row[back[j]]
+        np.multiply(-scale, sum(at(i, j, zero) + at(i, j, far[j]) for i in range(d)), out=w)
+    for (i, j), off in zip(pairs, cross):
+        w = weight[off] = row[_negated(off)]
+        np.multiply(scale, at(i, j, back[j]) + at(i, j, far[i]), out=w)
+    for off, w in weight.items():
+        # no coupling leaves the lattice; the matrix is symmetric
+        for ax, o in enumerate(off):
+            if o:
+                w[(slice(None),) * ax + (-1 if o > 0 else 0,)] = 0.0
+        dst = tuple(slice(max(o, 0), n - max(-o, 0)) for o in off)
+        row[off][dst] = w[tuple(slice(max(-o, 0), n - max(o, 0)) for o in off)]
+    return sparse.dia_matrix((data, [steps[o] for o in offsets]), shape=(size, size))
 
-    def _scatter(self, out: np.ndarray, flux: np.ndarray, ax: int, corner: str):
-        d, h = self.grid.dim, self.spacing
-        if corner == "base":
-            lo = tuple(slice(0, -1) for _ in range(d))
-            hi = list(lo)
-            hi[ax] = slice(1, None)
-        else:
-            hi = tuple(slice(1, None) for _ in range(d))
-            lo = list(hi)
-            lo[ax] = slice(0, -1)
-            hi, lo = list(hi), lo
-        out[tuple(hi)] += flux / h
-        out[tuple(lo)] -= flux / h
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """L x on node arrays (returns div(A grad x) discretely)."""
-        if self.bc == "dirichlet":
-            x = np.pad(x, 1)
-        gp, gm = self._cell_gradients(x)
-        d = self.grid.dim
-        out = np.zeros_like(x)
-        for i in range(d):
-            flux_p = sum(self._abar[COMPONENT_ROW[i, j]] * gp[j] for j in range(d))
-            flux_m = sum(self._abar[COMPONENT_ROW[i, j]] * gm[j] for j in range(d))
-            self._scatter(out, flux_p, i, "base")
-            self._scatter(out, flux_m, i, "far")
-        out *= -0.5
-        if self.bc == "dirichlet":
-            core = tuple(slice(1, -1) for _ in range(d))
-            out = out[core]
-        return out
-
-    def matrix(self) -> sparse.dia_matrix:
-        """
-        The operator assembled in diagonal storage from its closed-form
-        stencil.  The base-corner gradient of a cell couples its base node c
-        with c+e_i, and c+e_i with c+e_j; the far-corner gradient does the
-        same around the far node.  A node therefore couples to itself, to its
-        neighbours at +-e_i and to those at +-(e_i - e_j): 1 + d + d^2
-        diagonals, each a sum of cell-averaged components read at shifted
-        cells.  Couplings that leave the lattice (Dirichlet ghost layer
-        included) are stored as zeros.
-        """
-        d, h = self.grid.dim, self.spacing
-        n = self.grid.points_per_axis
-        # cells padded with a zero layer: node p reads cell p + s, s in {-1, 0}^d
-        cells = np.pad(self._abar, [(0, 0)] + [(1, 1)] * d)
-        m = cells.shape[1] - 1  # nodes per axis, ghost layer included
-        core = 1 if self.bc == "dirichlet" else 0
-
-        def at(i, j, shift):  # a_ij of cell p + shift, on every node p
-            comp = cells[COMPONENT_ROW[i, j]]
-            return comp[tuple(slice(s + 1 + core, s + 1 + m - core) for s in shift)]
-
-        zero, down = (0,) * d, (-1,) * d
-        unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-        back = [tuple(-e for e in u) for u in unit]  # p - e_i
-        far = [tuple(e - 1 for e in u) for u in unit]  # p + e_i - 1
-        scale = -0.5 / h**2
-        centre = sum(at(i, j, zero) + at(i, j, down) for i in range(d) for j in range(d))
-        centre = scale * (centre + sum(at(i, i, back[i]) + at(i, i, far[i]) for i in range(d)))
-        stencil = {zero: centre}
-        for j in range(d):
-            stencil[unit[j]] = -scale * sum(at(i, j, zero) + at(i, j, far[j]) for i in range(d))
-            for i in range(j):
-                off = tuple(a - b for a, b in zip(unit[i], unit[j]))
-                stencil[off] = scale * (at(i, j, back[j]) + at(i, j, far[i]))
-        for off, w in list(stencil.items()):
-            if off == zero:
-                continue
-            # no coupling leaves the lattice; the matrix is symmetric
-            for ax, o in enumerate(off):
-                if o:
-                    w[(slice(None),) * ax + (-1 if o > 0 else 0,)] = 0.0
-            stencil[tuple(-o for o in off)] = _shift(w, tuple(-o for o in off))
-        size = self.grid.n_nodes
-        strides = [n ** (d - 1 - ax) for ax in range(d)]
-        steps = {off: int(np.dot(off, strides)) for off in stencil}  # column minus row
-        offsets = sorted(stencil, key=steps.get)  # a product then sums each row in column order
-        # diagonal k holds A[p, p + step_k] at column p + step_k, which by symmetry is the
-        # weight of the opposite offset at node p + step_k; each weight array is released once copied
-        data = np.empty((len(offsets), size))
-        for k, off in enumerate(offsets):
-            data[k] = stencil.pop(tuple(-o for o in off)).ravel()
-        return sparse.dia_matrix((data, [steps[o] for o in offsets]), shape=(size, size))
+def _negated(off: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-o for o in off)
 
 
 def folded_matrix(S: sparse.dia_matrix, c: np.ndarray, s: float) -> sparse.dia_matrix:
     """
     diag(c) + s S in float64 with the diagonals of ``S`` (a
-    ``DiffusionOperator.matrix()``): the Krylov systems of the implicit step
+    ``diffusion_matrix``): the Krylov systems of the implicit step
     and of the coercivity functional as one matrix each.
     """
     data = s * S.data
@@ -320,15 +268,6 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     BLAS, so the Krylov results do not depend on the BLAS thread count.
     """
     return float(np.einsum("i,i->", x, y))
-
-
-def _shift(values: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
-    """out[p] = values[p + off], zero where p + off leaves the array."""
-    out = np.zeros_like(values)
-    dst = tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(off, values.shape))
-    src = tuple(slice(max(o, 0), s - max(-o, 0)) for o, s in zip(off, values.shape))
-    out[dst] = values[src]
-    return out
 
 
 def energy_form(A: MatrixField, phi: np.ndarray) -> float:

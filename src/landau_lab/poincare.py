@@ -9,7 +9,9 @@ The functional is
 
 realized as the largest eigenvalue of the symmetric operator
 phi -> h phi + eps div(A grad phi) with a ghost layer of zeros standing in
-for compact support.
+for compact support, assembled once per curve by ``diffusion_matrix``.  Each
+eigenvalue reports the relative residual of its Ritz pair in the original
+variables, read off the residual its acceptance test computed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import scipy.linalg
 from .coefficients import CoefficientBundle, build_coefficients
 from .errors import GammaRangeError, IterationError
 from .grid import ScalarField
-from .operators import DiffusionOperator, dot, energy_form, folded_matrix, scaled_matrix
+from .operators import diffusion_matrix, dot, energy_form, folded_matrix, scaled_matrix
 from .rates import line_fit
 
 BASIS = 40  # Lanczos vectors per cycle: one (BASIS + 1, n) array
@@ -57,7 +59,6 @@ class LambdaCurve:
 
 def _top_eigenvalue(
     h: np.ndarray,
-    diffusion: DiffusionOperator,
     S,
     eps: float,
     mass_weight: np.ndarray,
@@ -65,15 +66,17 @@ def _top_eigenvalue(
 ) -> tuple[float, int, float, np.ndarray]:
     """
     Largest eigenvalue of the pencil (K, W), K = diag(h) + eps * L and W the
-    mass weight (all ones for the plain functional).  ``S`` is
-    ``diffusion.matrix()``.  K is folded into one matrix with the diagonals
-    of S, and the pencil is solved as the standard symmetric problem
-    W^{-1/2} K W^{-1/2}; at W = 1 the scaling multiplies by exactly 1.0, so
-    the plain curve takes no branch of its own.  Returns the eigenvalue,
-    the operator applies, the relative residual of the Ritz pair recomputed
-    with the matrix-free ``diffusion.apply`` in the original variables, and
-    the eigenvector in the solved variables (a warm start for the next
-    epsilon).
+    mass weight (all ones for the plain functional), and L the Dirichlet
+    ``diffusion_matrix`` ``S``.  K is folded into one matrix with the
+    diagonals of S, and the pencil is solved as the standard symmetric
+    problem s K s, s = W^{-1/2}; at W = 1 the scaling multiplies by exactly
+    1.0, so the plain curve takes no branch of its own.  Returns the
+    eigenvalue, the operator applies, the relative residual of the Ritz pair
+    in the original variables, and the eigenvector in the solved variables
+    (a warm start for the next epsilon).  For a Ritz pair (lam, y) of s K s
+    and phi = s y, K phi - lam W phi = (s K s y - lam y) / s, so the
+    residual in the original variables is read off the one the acceptance
+    test computed, with no further apply; at W = 1 it is that residual.
 
     Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000)
     without reorthogonalization: a cycle grows the basis to ``BASIS``
@@ -93,11 +96,10 @@ def _top_eigenvalue(
     s = 1.0 / np.sqrt(weight)
     K = scaled_matrix(folded_matrix(S, hflat, eps), s)
 
-    def residual(lam, y):
-        phi = s * y
-        lhs = hflat * phi + eps * diffusion.apply(phi.reshape(shape)).ravel()
-        r = lhs - lam * weight * phi
-        return math.sqrt(dot(r, r)) / max(abs(lam), 1e-300)
+    def ritz_residual(lam, y):  # the residual vector and its relative norm in the original variables
+        r = K @ y - lam * y
+        rs = r / s
+        return r, math.sqrt(dot(rs, rs)) / max(abs(lam), 1e-300)
 
     V = np.empty((BASIS + 1, hflat.size))  # row j is Lanczos vector j
     T = np.zeros((BASIS, BASIS))  # the projection of K on the basis
@@ -128,17 +130,19 @@ def _top_eigenvalue(
             estimated = abs(beta * u[-1, -1]) <= LANCZOS_TOL * abs(lam)
             if estimated:
                 y = ritz_vector(u[:, -1])
-                r = K @ y - lam * y
+                r, res = ritz_residual(lam, y)
                 applies += 1
                 if math.sqrt(dot(r, r)) <= LANCZOS_TOL * abs(lam):
-                    return lam, applies, residual(lam, y), y
+                    return lam, applies, res, y
             if estimated or size == BASIS:
                 if restarts == LANCZOS_MAXITER:
-                    res = residual(lam, ritz_vector(u[:, -1]))
+                    y = ritz_vector(u[:, -1])
+                    res = ritz_residual(lam, y)[1]
                     raise IterationError(
                         f"eigenvalue iteration did not converge within {LANCZOS_MAXITER} restarts "
                         f"(last Ritz residual {res:.3g})",
                         residual=res,
+                        iterate=(lam, (s * y).reshape(shape)),
                     )
                 restarts += 1
                 k = j = min(KEPT, size - 1)
@@ -170,12 +174,11 @@ def lambda_curve(
     epsilons = sorted(float(e) for e in epsilons)
     if mass_weight is None:
         mass_weight = np.ones(bundle.grid.shape)
-    L = DiffusionOperator(bundle.A, bc="dirichlet")
-    S = L.matrix()
+    S = diffusion_matrix(bundle.A, bc="dirichlet")
     lams, iters, resids = [], [], []
     v0 = None
     for eps in epsilons:
-        lam, it, res, v0 = _top_eigenvalue(bundle.h.values, L, S, eps, mass_weight, v0)
+        lam, it, res, v0 = _top_eigenvalue(bundle.h.values, S, eps, mass_weight, v0)
         lams.append(lam)
         iters.append(it)
         resids.append(res)

@@ -82,6 +82,12 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), rms
 
 
+def energy_drift(traj: Trajectory) -> float:
+    """Signed relative change of the ledger energy over the run, (E_last - E_0) / E_0."""
+    e0 = traj.ledger[0].energy
+    return (traj.ledger[-1].energy - e0) / e0
+
+
 def _fit_window(traj: Trajectory, R: float, eq: ScalarField):
     """
     Usable samples of a sup-norm history: drop the scheme transient
@@ -110,11 +116,12 @@ def fit_decay(
     saturated approach to equilibrium (sup within 2x of the stationary
     level).  The ball exponent comes from refitting over an R sweep.  A
     history that never leaves saturation (a stationary run) is fitted raw
-    and flagged.
+    and flagged.  The flags also report the run's ``energy_drift``, which
+    the scheme conserves only at equilibrium.
     """
     if theorem_id not in PREDICTED_EXPONENTS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    flags = dict(hypothesis_flags or {})
+    flags = {**(hypothesis_flags or {}), "energy_drift": energy_drift(traj)}
     eq = maxwellian(traj.grid)
     times, sups = _fit_window(traj, R, eq)
     if len(times) < 6:

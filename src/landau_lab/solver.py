@@ -8,8 +8,9 @@ and at every step one coefficient bundle and one split operator, which the
 ledger row and the step both read; nothing below ``simulate`` rebuilds
 either.  The stepper freezes the nonlocal coefficients at the step start,
 treats diffusion implicitly and the drift explicitly.  The diffusion
-operator is assembled once per step in diagonal storage, straight from its
-13-point stencil; the implicit system T = diag(M) - dt S is folded into one
+operator is assembled once per step by ``diffusion_matrix``, its 13-point
+stencil written straight into diagonal storage, and the split operator keeps
+only that matrix; the implicit system T = diag(M) - dt S is folded into one
 matrix with the same diagonals and solved in two precisions: an outer
 refinement loop keeps the residual in float64 and stops on it, and each of
 its passes runs conjugate gradients in float32 on the Jacobi-scaled copy
@@ -37,9 +38,9 @@ from .coefficients import CoefficientBundle, build_coefficients
 from .errors import GridError, IterationError, LandauLabError, NonNegativityError
 from .grid import ScalarField, VelocityGrid, moments
 from .operators import (
-    DiffusionOperator,
     boundary_drift_flux,
     cell_corner_geomean,
+    diffusion_matrix,
     dot,
     drift_divergence,
     energy_form,
@@ -229,7 +230,6 @@ class SplitOperator:
     """
 
     bundle: CoefficientBundle
-    diffusion: DiffusionOperator
     mref: ScalarField
     drift_rest: list[np.ndarray]
     matrix: sparse.dia_matrix
@@ -238,11 +238,11 @@ class SplitOperator:
 
 def make_split_operator(bundle: CoefficientBundle, ref: Reference) -> SplitOperator:
     grid = bundle.grid
-    L = DiffusionOperator(bundle.A, bc="flux", cell_weight=ref.cell_weight)
     Av = bundle.A.apply(ref.centred)
     drift_rest = [bundle.drift[ax].values + Av[ax] / ref.temperature for ax in range(grid.dim)]
     drift_div = drift_divergence(bundle.f.values, drift_rest, grid.spacing)
-    return SplitOperator(bundle, L, ref.gaussian, drift_rest, L.matrix(), drift_div)
+    S = diffusion_matrix(bundle.A, bc="flux", cell_weight=ref.cell_weight)
+    return SplitOperator(bundle, ref.gaussian, drift_rest, S, drift_div)
 
 
 def collision_operator(split: SplitOperator) -> ScalarField:
@@ -427,8 +427,8 @@ def simulate(
     ledger: list[LedgerRow] = []
     clipped_total, negatives_max = 0.0, 0
     k = 0
+    split = make_split_operator(build_coefficients(f, gamma), ref)
     while True:
-        split = make_split_operator(build_coefficients(f, gamma), ref)
         row = _ledger_row(k, time, stats, split)
         ledger.append(row)
         clipped_total += row.clipped_mass
@@ -450,7 +450,14 @@ def simulate(
                 dt = min(dt, t_ramp * max(time, dt / 4.0))
         dt = min(dt, t_final - time)
         f, stats = step(split, dt)
-        del split  # release this step's operator before the next one is built
+        # hold this step's matrix until the next one is assembled: that one takes the
+        # same-size block the step's folded system freed, and the next step's system takes
+        # the held block.  Released with its operator, the emptied heap top goes back to the
+        # system every step and is faulted in again (11x the minor page faults at N=32)
+        held = split.matrix
+        del split
+        split = make_split_operator(build_coefficients(f, gamma), ref)
+        del held
         time += dt
         k += 1
         if k % snapshot_stride == 0 or time >= t_final - 1e-14:

@@ -34,7 +34,7 @@ from .grid import (
 )
 from .operators import dot, nondivergence_apply
 from .poincare import gks_check, verify_eps_poincare
-from .rates import fit_decay, moser_report
+from .rates import energy_drift, fit_decay, moser_report
 from .solver import collision_operator, make_split_operator, reference_gaussian, simulate
 from .weights import morrey_ratio, morrey_ratio_family
 
@@ -355,7 +355,7 @@ def gate_rates(n=32, sigma=0.2, band=None):
         + (f", band {band}" if band else "")
         + f") rms={fit.residual_rms:.3f} window={tuple(round(x, 3) for x in fit.t_window)}"
     )
-    return ok, detail, {"alpha_hat": fit.alpha_hat, "rms": fit.residual_rms}
+    return ok, detail, {"alpha_hat": fit.alpha_hat, "rms": fit.residual_rms, "energy_drift": energy_drift(traj)}
 
 
 def gate_moser(n=32, t_final=1.0):
@@ -372,7 +372,7 @@ def gate_moser(n=32, t_final=1.0):
         f"E_n={['%.3g' % e for e in es]} sup={sup:.3g} "
         f"(E_n >= {FROZEN['moser_deficit']} sup for n>=4: {late_ok})"
     )
-    return ok, detail, {"E_n": es, "cylinder_sup": sup}
+    return ok, detail, {"E_n": es, "cylinder_sup": sup, "energy_drift": energy_drift(traj)}
 
 
 def gate_reproducibility(n=24):

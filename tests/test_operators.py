@@ -1,18 +1,26 @@
+import ast
+import dataclasses
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from diffusion_oracle import matrix_free
 
+import landau_lab
 from landau_lab.coefficients import MatrixField
 from landau_lab.grid import make_grid
 from landau_lab.operators import (
-    DiffusionOperator,
     boundary_drift_flux,
     centered_gradient,
+    diffusion_matrix,
     drift_divergence,
     folded_matrix,
     scaled_matrix,
     second_derivatives,
     smoothstep_cutoff,
 )
+from landau_lab.solver import SplitOperator
 
 
 def _smooth_setup(n):
@@ -34,15 +42,15 @@ def _smooth_setup(n):
 
 def test_diffusion_operator_symmetric_nsd_conservative(rng):
     g, A, _ = _smooth_setup(12)
-    L = DiffusionOperator(A, bc="flux")
+    L = matrix_free(A, bc="flux")
     x = rng.normal(size=g.shape)
     y = rng.normal(size=g.shape)
-    assert abs(np.sum(L.apply(x))) < 1e-9 * np.max(np.abs(x))  # node sum preserved
-    assert abs(np.sum(y * L.apply(x)) - np.sum(x * L.apply(y))) < 1e-8
-    assert np.sum(x * L.apply(x)) <= 0
-    LD = DiffusionOperator(A, bc="dirichlet")
-    assert abs(np.sum(y * LD.apply(x)) - np.sum(x * LD.apply(y))) < 1e-8
-    assert np.sum(x * LD.apply(x)) <= 0
+    assert abs(np.sum(L(x))) < 1e-9 * np.max(np.abs(x))  # node sum preserved
+    assert abs(np.sum(y * L(x)) - np.sum(x * L(y))) < 1e-8
+    assert np.sum(x * L(x)) <= 0
+    LD = matrix_free(A, bc="dirichlet")
+    assert abs(np.sum(y * LD(x)) - np.sum(x * LD(y))) < 1e-8
+    assert np.sum(x * LD(x)) <= 0
 
 
 def test_diffusion_operator_second_order():
@@ -51,8 +59,7 @@ def test_diffusion_operator_second_order():
     errs = []
     for n in (16, 32):
         g, A, phi = _smooth_setup(n)
-        L = DiffusionOperator(A, bc="flux")
-        out = L.apply(phi)
+        out = matrix_free(A, bc="flux")(phi)
         # reference by fine finite differences of the analytic flux
         h = 1e-5
         X, Y, Z = [np.broadcast_to(c, g.shape).copy() for c in g.coords()]
@@ -100,12 +107,12 @@ def test_diffusion_operator_second_order():
 def test_diagonal_matches_operator(rng):
     g, A, _ = _smooth_setup(8)
     for bc in ("flux", "dirichlet"):
-        L = DiffusionOperator(A, bc=bc)
-        d = L.matrix().diagonal().reshape(g.shape)
+        L = matrix_free(A, bc=bc)
+        d = diffusion_matrix(A, bc=bc).diagonal().reshape(g.shape)
         for idx in np.ndindex(g.shape):
             e = np.zeros(g.shape)
             e[idx] = 1.0
-            assert L.apply(e)[idx] == pytest.approx(d[idx], rel=1e-12, abs=1e-12)
+            assert L(e)[idx] == pytest.approx(d[idx], rel=1e-12, abs=1e-12)
 
 
 def test_matrix_matches_operator(rng):
@@ -113,10 +120,10 @@ def test_matrix_matches_operator(rng):
         g, A, _ = _smooth_setup(n)
         w = rng.uniform(0.5, 2.0, size=(n - 1,) * 3)
         for bc, cell_weight in (("flux", None), ("dirichlet", None), ("flux", w)):
-            L = DiffusionOperator(A, bc=bc, cell_weight=cell_weight)
-            S = L.matrix()
+            L = matrix_free(A, bc=bc, cell_weight=cell_weight)
+            S = diffusion_matrix(A, bc=bc, cell_weight=cell_weight)
             x = rng.normal(size=g.shape)
-            ref = L.apply(x).ravel()
+            ref = L(x).ravel()
             assert np.linalg.norm(S @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
             csr = S.tocsr()
             assert abs(csr - csr.T).max() <= 1e-14 * abs(csr).max()
@@ -127,11 +134,11 @@ def test_matrix_matches_operator(rng):
             c = rng.uniform(0.5, 2.0, size=g.n_nodes)
             for s in (-0.1, 0.3):
                 T = folded_matrix(S, c, s)
-                ref = c * x.ravel() + s * L.apply(x).ravel()
+                ref = c * x.ravel() + s * L(x).ravel()
                 assert np.linalg.norm(T @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
                 v = rng.uniform(0.5, 2.0, size=g.n_nodes)
                 vx = v * x.ravel()
-                ref = v * (c * vx + s * L.apply(vx.reshape(g.shape)).ravel())
+                ref = v * (c * vx + s * L(vx.reshape(g.shape)).ravel())
                 scaled = scaled_matrix(T, v)
                 assert np.linalg.norm(scaled @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
                 # the float32 copy is the float64 product rounded once
@@ -141,10 +148,60 @@ def test_matrix_matches_operator(rng):
 def test_cell_weight_scales_form(rng):
     g, A, _ = _smooth_setup(8)
     w = np.full((7, 7, 7), 2.0)
-    L1 = DiffusionOperator(A, bc="flux")
-    L2 = DiffusionOperator(A, bc="flux", cell_weight=w)
     x = rng.normal(size=g.shape)
-    assert np.allclose(L2.apply(x), 2.0 * L1.apply(x))
+    assert np.allclose(matrix_free(A, bc="flux", cell_weight=w)(x), 2.0 * matrix_free(A, bc="flux")(x))
+    S1 = diffusion_matrix(A, bc="flux")
+    S2 = diffusion_matrix(A, bc="flux", cell_weight=w)
+    assert np.allclose(S2 @ x.ravel(), 2.0 * (S1 @ x.ravel()))
+    with pytest.raises(ValueError, match="forward cells"):
+        diffusion_matrix(A, bc="flux", cell_weight=np.ones(g.shape))
+    with pytest.raises(ValueError, match="boundary treatment"):
+        diffusion_matrix(A, bc="periodic")
+
+
+def test_diffusion_matrix_assembly_memory():
+    # the cell averages and every stencil weight are written in place: the assembly
+    # holds the diagonal data and one cell array, not one array per diagonal
+    g, A, _ = _smooth_setup(32)
+    w = np.linspace(0.5, 2.0, 31**3).reshape((31,) * 3)
+    diffusion_matrix(A, bc="flux", cell_weight=w)
+    tracemalloc.start()
+    try:
+        S = diffusion_matrix(A, bc="flux", cell_weight=w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * S.data.nbytes
+    # a split keeps its assembled matrix and nothing else of the diffusion form
+    assert [f.name for f in dataclasses.fields(SplitOperator)] == [
+        "bundle",
+        "mref",
+        "drift_rest",
+        "matrix",
+        "drift_div",
+    ]
+
+
+def test_no_orphaned_private_helpers():
+    # every top-level private function or class of the package is used somewhere in it
+    modules = {p: ast.parse(p.read_text()) for p in pathlib.Path(landau_lab.__file__).parent.glob("*.py")}
+    defined = {
+        (path.name, node.name)
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined, "no private helpers found: the scan reads the wrong files"
+    assert sorted(f"{module}:{name}" for module, name in defined if name not in used) == []
 
 
 def test_drift_divergence_conservative_and_consistent(rng):

@@ -6,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from diffusion_oracle import matrix_free
 
 from landau_lab import poincare
 from landau_lab.coefficients import CoefficientBundle, build_coefficients
 from landau_lab.errors import GammaRangeError, IterationError, NonNegativityError
 from landau_lab.grid import ScalarField, counterexample_profile, make_grid, maxwellian
-from landau_lab.operators import DiffusionOperator
+from landau_lab.operators import diffusion_matrix
 from landau_lab.poincare import BASIS, gks_check, lambda_curve, verify_eps_poincare
 
 
@@ -19,19 +20,19 @@ def dense_top_eigenvalue(bundle: CoefficientBundle, eps: float, mass_weight: np.
     """
     Full dense eigensolve of the coercivity operator, generalized with the
     mass weight when one is given (oracle for small grids).  Built from
-    ``apply`` columns, independent of the assembled matrix.
+    matrix-free columns, independent of the assembled matrix.
     """
     grid = bundle.grid
     n = grid.n_nodes
     if n > 4096:
         raise ValueError("dense oracle limited to tiny grids")
-    L = DiffusionOperator(bundle.A, bc="dirichlet")
+    L = matrix_free(bundle.A, bc="dirichlet")
     mat = np.zeros((n, n))
     e = np.zeros(grid.shape)
     flat = e.ravel()
     for j in range(n):
         flat[j] = 1.0
-        mat[:, j] = (bundle.h.values * e + eps * L.apply(e)).ravel()
+        mat[:, j] = (bundle.h.values * e + eps * L(e)).ravel()
         flat[j] = 0.0
     mass = None if mass_weight is None else np.diag(mass_weight.ravel())
     w = scipy.linalg.eigh(0.5 * (mat + mat.T), mass, eigvals_only=True, subset_by_index=[n - 1, n - 1])
@@ -102,28 +103,43 @@ def test_lambda_refinement_stability():
     assert abs(vals[1] - vals[0]) / vals[1] < 0.05
 
 
+def oracle_residual(bundle: CoefficientBundle, eps: float, lam: float, phi: np.ndarray, mass_weight) -> float:
+    """||h phi + eps L phi - lam W phi|| / |lam| with the matrix-free L, in the original variables."""
+    r = bundle.h.values * phi + eps * matrix_free(bundle.A, bc="dirichlet")(phi) - lam * mass_weight * phi
+    return float(np.linalg.norm(r)) / abs(lam)
+
+
 def test_lambda_iteration_cap(bundle12, monkeypatch):
-    # a zero tolerance never converges: the cap raises with the last Ritz pair's residual,
-    # recomputed with the matrix-free apply in the original variables
-    calls = []
-    apply = DiffusionOperator.apply
-
-    def counted_apply(self, phi):
-        calls.append(phi)
-        return apply(self, phi)
-
-    monkeypatch.setattr(DiffusionOperator, "apply", counted_apply)
+    # a zero tolerance never converges: the cap raises with the last Ritz pair and its
+    # residual in the original variables, which the matrix-free oracle recomputes
     monkeypatch.setattr(poincare, "LANCZOS_TOL", 0.0)
     monkeypatch.setattr(poincare, "LANCZOS_MAXITER", 1)
     bracket = (1.0 + bundle12.grid.radius_squared()) ** -0.5
-    for weight in (None, bracket):
-        calls.clear()
+    for weight in (np.ones(bundle12.grid.shape), bracket):
         with pytest.raises(IterationError) as info:
             lambda_curve(bundle12, epsilons=[0.3], mass_weight=weight)
         res = info.value.residual
         assert np.isfinite(res) and 0.0 < res < 1e-3
-        assert len(calls) == 1
+        lam, phi = info.value.iterate
+        assert res == pytest.approx(oracle_residual(bundle12, 0.3, lam, phi, weight), rel=1e-8)
         assert f"within 1 restarts (last Ritz residual {res:.3g})" in str(info.value)
+
+
+def test_lambda_residuals_match_the_oracle(bundle12):
+    # each reported residual is the Ritz pair's, in the original variables: replay the
+    # curve's warm-started solves and recompute every residual with the matrix-free form
+    epsilons = [1e-3, 1e-2, 0.1, 0.3, 1.0]
+    bracket = (1.0 + bundle12.grid.radius_squared()) ** -0.5
+    S = diffusion_matrix(bundle12.A, bc="dirichlet")
+    for weight in (np.ones(bundle12.grid.shape), bracket):
+        curve = lambda_curve(bundle12, epsilons=epsilons, mass_weight=weight)
+        v0 = None
+        for eps, lam, res in zip(epsilons, curve.lambdas, curve.residuals):
+            replay, _, replay_res, v0 = poincare._top_eigenvalue(bundle12.h.values, S, eps, weight, v0)
+            assert (replay, replay_res) == (lam, res)
+            phi = (v0 / np.sqrt(weight.ravel())).reshape(weight.shape)
+            assert 0.0 < res <= poincare.LANCZOS_TOL * np.sqrt(weight.max())  # r / s = sqrt(W) r
+            assert res == pytest.approx(oracle_residual(bundle12, eps, lam, phi, weight), rel=1e-8)
 
 
 def test_lambda_curve_bytes_independent_of_blas_threads():

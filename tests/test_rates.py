@@ -4,6 +4,7 @@ import pytest
 from landau_lab.errors import GridError
 from landau_lab.grid import ScalarField, make_grid, squeezed_gaussian
 from landau_lab.rates import (
+    energy_drift,
     fit_decay,
     linf_history,
     moser_report,
@@ -57,6 +58,14 @@ def test_fit_decay_relaxing(relaxing_traj):
     assert fit.n_samples >= 6
     assert fit.residual_rms < 0.3
     assert fit.t_window[1] / fit.t_window[0] >= 10.0 - 1e-9
+
+
+def test_fit_decay_reports_energy_drift(relaxing_traj, stationary_traj):
+    fit = fit_decay(relaxing_traj, 2.0, "main_1", R_sweep=(), hypothesis_flags={"doubling_constant": 3.0})
+    first, last = relaxing_traj.ledger[0].energy, relaxing_traj.ledger[-1].energy
+    assert fit.hypothesis_flags == {"doubling_constant": 3.0, "energy_drift": (last - first) / first}
+    assert energy_drift(relaxing_traj) == (last - first) / first != 0.0
+    assert abs(energy_drift(stationary_traj)) < 1e-7  # at equilibrium only the implicit solves move it
 
 
 def test_fit_decay_reproducible(relaxing_traj):
