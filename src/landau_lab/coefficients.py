@@ -671,7 +671,7 @@ def comparability_report(bundle: CoefficientBundle) -> dict:
             np.max(bundle.a.values / (bracket**expo * bundle.a_star.values))
         )
         report["a_vs_astar_exponent"] = expo
-    dbl = doubling_constant(f, radii=(0.25, 0.5, 1.0))
+    dbl = doubling_constant(f)
     report["doubling_constant"] = dbl.value
     return report
 

@@ -13,8 +13,10 @@ second-order consistent while keeping
     sum_v (L x)_v = 0      exactly in the zero-flux variant.
 
 The operator exists only assembled: ``diffusion_matrix`` writes the form's
-closed-form 13-point stencil straight into diagonal storage, which the
-implicit step and the coercivity functional fold into their Krylov systems.
+closed-form 13-point stencil straight into diagonal storage, and
+``krylov_matrix`` builds from those diagonals, in one pass, the Krylov
+system diag(w) (diag(c) + s S) diag(w) of the implicit step and of the
+coercivity functional.
 Two boundary treatments: 'flux' (no flux through the box boundary, used by
 the time stepper; conserves mass to roundoff) and 'dirichlet' (a ghost layer
 of zeros, used by the spectral functional where test functions are compactly
@@ -235,31 +237,26 @@ def _negated(off: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-o for o in off)
 
 
-def folded_matrix(S: sparse.dia_matrix, c: np.ndarray, s: float) -> sparse.dia_matrix:
+def krylov_matrix(S: sparse.dia_matrix, c: np.ndarray, s: float, w: np.ndarray, dtype=np.float64) -> sparse.dia_matrix:
     """
-    diag(c) + s S in float64 with the diagonals of ``S`` (a
-    ``diffusion_matrix``): the Krylov systems of the implicit step
-    and of the coercivity functional as one matrix each.
+    diag(w) (diag(c) + s S) diag(w) with the diagonals of ``S`` (a
+    ``diffusion_matrix``), computed in float64 and stored in ``dtype``: the
+    Krylov systems of the implicit step and of the coercivity functional,
+    built in one pass over the diagonals of ``S``.
     """
-    data = s * S.data
-    data[np.flatnonzero(S.offsets == 0)[0]] += c
-    return sparse.dia_matrix((data, S.offsets), shape=S.shape)
-
-
-def scaled_matrix(T: sparse.dia_matrix, w: np.ndarray, dtype=np.float64) -> sparse.dia_matrix:
-    """
-    diag(w) T diag(w) for ``T`` in diagonal storage, computed in float64 and
-    stored in ``dtype``.
-    """
-    size = T.shape[0]
-    scaled = np.zeros(T.data.shape, dtype)
+    size = S.shape[0]
+    data = np.zeros(S.data.shape, dtype)
+    entry = np.empty(size)
     pair = np.empty(size)
-    for k, step in enumerate(T.offsets):
+    for k, step in enumerate(S.offsets):
         # column j of diagonal k is the entry in row j - step; the others are never read
         lo, hi = max(step, 0), min(size, size + step)
+        np.multiply(s, S.data[k, lo:hi], out=entry[lo:hi])
+        if step == 0:
+            entry += c
         np.multiply(w[lo:hi], w[lo - step : hi - step], out=pair[lo:hi])
-        np.multiply(T.data[k, lo:hi], pair[lo:hi], out=scaled[k, lo:hi], casting="same_kind")
-    return sparse.dia_matrix((scaled, T.offsets), shape=T.shape)
+        np.multiply(entry[lo:hi], pair[lo:hi], out=data[k, lo:hi], casting="same_kind")
+    return sparse.dia_matrix((data, S.offsets), shape=S.shape)
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -25,7 +25,7 @@ import scipy.linalg
 from .coefficients import CoefficientBundle, build_coefficients
 from .errors import GammaRangeError, IterationError
 from .grid import ScalarField
-from .operators import diffusion_matrix, dot, energy_form, folded_matrix, scaled_matrix
+from .operators import diffusion_matrix, dot, energy_form, krylov_matrix
 from .rates import line_fit
 
 BASIS = 40  # Lanczos vectors per cycle: one (BASIS + 1, n) array
@@ -40,21 +40,10 @@ class LambdaCurve:
     """Top-eigenvalue curve of the coercivity functional over an epsilon grid."""
 
     gamma: float
-    grid_key: tuple
     epsilons: list[float]
     lambdas: list[float]
     iterations: list[int]
     residuals: list[float]
-    weight: str = "none"
-
-    def manifest(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "grid": list(self.grid_key),
-            "weight": self.weight,
-            "epsilons": self.epsilons,
-            "lambdas": self.lambdas,
-        }
 
 
 def _top_eigenvalue(
@@ -67,10 +56,10 @@ def _top_eigenvalue(
     """
     Largest eigenvalue of the pencil (K, W), K = diag(h) + eps * L and W the
     mass weight (all ones for the plain functional), and L the Dirichlet
-    ``diffusion_matrix`` ``S``.  K is folded into one matrix with the
-    diagonals of S, and the pencil is solved as the standard symmetric
-    problem s K s, s = W^{-1/2}; at W = 1 the scaling multiplies by exactly
-    1.0, so the plain curve takes no branch of its own.  Returns the
+    ``diffusion_matrix`` ``S``.  The pencil is solved as the standard
+    symmetric problem s K s, s = W^{-1/2}, which ``krylov_matrix`` builds as
+    one matrix with the diagonals of S; at W = 1 the scaling multiplies by
+    exactly 1.0, so the plain curve takes no branch of its own.  Returns the
     eigenvalue, the operator applies, the relative residual of the Ritz pair
     in the original variables, and the eigenvector in the solved variables
     (a warm start for the next epsilon).  For a Ritz pair (lam, y) of s K s
@@ -94,7 +83,7 @@ def _top_eigenvalue(
     hflat = h.ravel()
     weight = mass_weight.ravel()
     s = 1.0 / np.sqrt(weight)
-    K = scaled_matrix(folded_matrix(S, hflat, eps), s)
+    K = krylov_matrix(S, hflat, eps, s)
 
     def ritz_residual(lam, y):  # the residual vector and its relative norm in the original variables
         r = K @ y - lam * y
@@ -162,7 +151,6 @@ def lambda_curve(
     bundle: CoefficientBundle,
     epsilons,
     mass_weight: np.ndarray | None = None,
-    weight_name: str = "none",
 ) -> LambdaCurve:
     """
     Evaluate the functional of the bundle on a grid of epsilons, with the
@@ -182,7 +170,7 @@ def lambda_curve(
         lams.append(lam)
         iters.append(it)
         resids.append(res)
-    return LambdaCurve(bundle.gamma, bundle.grid.key(), epsilons, lams, iters, resids, weight_name)
+    return LambdaCurve(bundle.gamma, epsilons, lams, iters, resids)
 
 
 def _slope(epsilons, lambdas, n_points: int) -> tuple[float, float]:
@@ -219,10 +207,9 @@ def verify_eps_poincare(f: ScalarField, gamma: float, epsilons=None) -> dict:
             lambdas=list(curve.lambdas),
             iterations=[0] * len(curve.epsilons),
             residuals=list(curve.residuals),
-            weight="bracket_gamma",
         )
     else:
-        wcurve = lambda_curve(bundle, epsilons=epsilons, mass_weight=bracket, weight_name="bracket_gamma")
+        wcurve = lambda_curve(bundle, epsilons=epsilons, mass_weight=bracket)
     slope, rms = _slope(curve.epsilons, curve.lambdas, FIT_POINTS)
     wslope, wrms = _slope(wcurve.epsilons, wcurve.lambdas, FIT_POINTS)
     out = {

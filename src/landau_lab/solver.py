@@ -8,18 +8,19 @@ and at every step one coefficient bundle and one split operator, which the
 ledger row and the step both read; nothing below ``simulate`` rebuilds
 either.  The stepper freezes the nonlocal coefficients at the step start,
 treats diffusion implicitly and the drift explicitly.  The diffusion
-operator is assembled once per step by ``diffusion_matrix``, its 13-point
+operator S is assembled once per step by ``diffusion_matrix``, its 13-point
 stencil written straight into diagonal storage, and the split operator keeps
-only that matrix; the implicit system T = diag(M) - dt S is folded into one
-matrix with the same diagonals and solved in two precisions: an outer
-refinement loop keeps the residual in float64 and stops on it, and each of
-its passes runs conjugate gradients in float32 on the Jacobi-scaled copy
-diag(T)^(-1/2) T diag(T)^(-1/2), scaled once per step from the folded T.  The scaling is what makes float32 usable:
+only that matrix.  The implicit system T = diag(M) - dt S is never stored:
+it is solved in two precisions, an outer refinement loop keeping the
+residual rhs - (M u - dt S u) in float64 and stopping on it, and each of its
+passes running conjugate gradients in float32 on the Jacobi-scaled system
+diag(w) T diag(w), w = diag(T)^(-1/2), which ``krylov_matrix`` builds once
+per step from the diagonals of S.  The scaling is what makes float32 usable:
 T's diagonal follows the reference Gaussian down below float32's range,
 while the scaled matrix has a unit diagonal.  A float32 pass that does not
 lower the float64 residual, as on large steps, hands the remaining passes
-to the float64 scaled matrix.  Each step reports the CG iterations, the
-outer passes and the final float64 residual.  Zero flux
+to the scaled system built in float64.  Each step reports the CG
+iterations, the outer passes and the final float64 residual.  Zero flux
 through the truncation boundary keeps the lattice mass constant to solver
 tolerance, and negative nodes are clipped to zero with the clipped mass
 logged, never silently renormalized.
@@ -44,8 +45,7 @@ from .operators import (
     dot,
     drift_divergence,
     energy_form,
-    folded_matrix,
-    scaled_matrix,
+    krylov_matrix,
 )
 
 
@@ -225,7 +225,7 @@ class SplitOperator:
     discrete steady state), the bounded remainder drift through conservative
     face fluxes.  ``matrix`` is the weighted diffusion operator assembled
     once in diagonal storage; the ledger reads it and the implicit solve
-    folds it into its system matrix.  ``drift_div`` is div(f b_rest) at the
+    builds its Krylov system from it.  ``drift_div`` is div(f b_rest) at the
     bundle's f, shared by the ledger's Q and the step's explicit drift.
     """
 
@@ -275,10 +275,10 @@ def _ledger_row(k: int, time: float, stats: StepStats, split: SplitOperator) -> 
     )
 
 
-def _cg(S: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, int]:
+def _cg(K: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, int]:
     """
-    Plain conjugate gradients on the system S y = b, ||b|| = 1, from y = 0
-    until ||b - S y|| <= INNER_TOL or ``maxiter`` iterations.  Returns y and
+    Plain conjugate gradients on the system K y = b, ||b|| = 1, from y = 0
+    until ||b - K y|| <= INNER_TOL or ``maxiter`` iterations.  Returns y and
     the iteration count.  The reductions run in einsum, the vector updates in
     place and in the precision of ``b``.
     """
@@ -289,7 +289,7 @@ def _cg(S: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, 
     rr = dot(r, r)
     iterations = 0
     while rr > INNER_TOL**2 and iterations < maxiter:
-        q = S @ p
+        q = K @ p
         alpha = rr / dot(p, q)
         y += np.multiply(alpha, p, out=scaled)
         r -= np.multiply(alpha, q, out=scaled)
@@ -302,33 +302,34 @@ def _cg(S: sparse.dia_matrix, b: np.ndarray, maxiter: int) -> tuple[np.ndarray, 
 
 def _imex_solve(split: SplitOperator, dt: float, rhs: np.ndarray) -> tuple[np.ndarray, int, float, int]:
     """
-    Solve T u = rhs, T = diag(M) - dt S folded into one matrix, for u = f/M
-    by iterative refinement in two precisions, from u = rhs/M until
-    ||r|| <= CG_TOL ||rhs|| for the float64 residual r = rhs - T u.
+    Solve T u = rhs, T = diag(M) - dt S, for u = f/M by iterative refinement
+    in two precisions, from u = rhs/M until ||r|| <= CG_TOL ||rhs|| for the
+    float64 residual r = rhs - (M u - dt S u).  T is never stored: the
+    residual multiplies by S, the split's matrix.
 
     Each outer pass solves the Jacobi-scaled correction system
-    S y = (w r)/||w r||, with w = diag(T)^(-1/2) and S = diag(w) T diag(w)
-    stored in float32, by ``_cg`` and adds ||w r|| w y to u.  S has a unit
-    diagonal and entries bounded by 1, so the float32 copy holds the system
-    although diag(T) itself lies below float32's range in the tail of a wide
-    box (3e-40 at the corners of an N=32, L=8 box at dt=0.01).  T is folded
-    once and S scaled from it.  On a large step float32 rounding can hold a
-    pass back (gamma=-1, N=24, L=8, dt=0.4: the second pass raises ||r||);
-    the first float32 pass that does not lower ||r|| switches the remaining
-    passes to S stored in float64, through the same CG.  ``CG_MAXITER`` caps
-    the CG iterations of all passes together; the cap, or a float64 pass
-    that does not lower ||r||, raises ``IterationError`` with the float64
-    residual and the iterate.  Returns f = M u, the CG iteration count, the
-    relative residual the stop rule measured and the number of passes.
+    K y = (w r)/||w r||, with w = diag(T)^(-1/2) and K = diag(w) T diag(w)
+    built by ``krylov_matrix`` in float32, by ``_cg`` and adds ||w r|| w y to
+    u.  K has a unit diagonal and entries bounded by 1, so the float32 copy
+    holds the system although diag(T) itself lies below float32's range in
+    the tail of a wide box (3e-40 at the corners of an N=32, L=8 box at
+    dt=0.01).  On a large step float32 rounding can hold a pass back
+    (gamma=-1, N=24, L=8, dt=0.4: the second pass raises ||r||); the first
+    float32 pass that does not lower ||r|| switches the remaining passes to
+    K built in float64, through the same CG.  ``CG_MAXITER`` caps the CG
+    iterations of all passes together; the cap, or a float64 pass that does
+    not lower ||r||, raises ``IterationError`` with the float64 residual and
+    the iterate.  Returns f = M u, the CG iteration count, the relative
+    residual the stop rule measured and the number of passes.
     """
+    S = split.matrix
     mref = split.mref.values.ravel()
-    T = folded_matrix(split.matrix, mref, -dt)
-    w = 1.0 / np.sqrt(T.diagonal())
-    S = scaled_matrix(T, w, np.float32)
+    w = 1.0 / np.sqrt(mref - dt * S.diagonal())
+    K = krylov_matrix(S, mref, -dt, w, np.float32)
     b = rhs.ravel()
     bnorm = math.sqrt(dot(b, b))
     x = b / mref
-    r = b - T @ x
+    r = b - (mref * x - dt * (S @ x))
     rnorm = math.sqrt(dot(r, r))
     iterations = passes = 0
     while not rnorm <= CG_TOL * bnorm:  # a nan residual enters, then fails as a stall
@@ -336,15 +337,15 @@ def _imex_solve(split: SplitOperator, dt: float, rhs: np.ndarray) -> tuple[np.nd
         if iterations < CG_MAXITER:
             s = w * r
             snorm = math.sqrt(dot(s, s))
-            y, count = _cg(S, (s / snorm).astype(S.dtype), CG_MAXITER - iterations)
+            y, count = _cg(K, (s / snorm).astype(K.dtype), CG_MAXITER - iterations)
             iterations += count
             passes += 1
             x += snorm * (w * y)
-            r = b - T @ x
+            r = b - (mref * x - dt * (S @ x))
             rnorm = math.sqrt(dot(r, r))
         if not rnorm < previous:
-            if S.dtype == np.float32 and iterations < CG_MAXITER:
-                S = scaled_matrix(T, w)
+            if K.dtype == np.float32 and iterations < CG_MAXITER:
+                K = krylov_matrix(S, mref, -dt, w)
                 continue
             res = rnorm / bnorm
             raise IterationError(
@@ -450,10 +451,10 @@ def simulate(
                 dt = min(dt, t_ramp * max(time, dt / 4.0))
         dt = min(dt, t_final - time)
         f, stats = step(split, dt)
-        # hold this step's matrix until the next one is assembled: that one takes the
-        # same-size block the step's folded system freed, and the next step's system takes
-        # the held block.  Released with its operator, the emptied heap top goes back to the
-        # system every step and is faulted in again (11x the minor page faults at N=32)
+        # hold this step's matrix until the next one is assembled, so the two same-size
+        # matrix blocks alternate.  Released with its operator, the emptied heap top goes
+        # back to the system every step and is faulted in again (N=32: up to 13k minor
+        # page faults a run against 2.8-5.2k, and a 7 MB higher peak)
         held = split.matrix
         del split
         split = make_split_operator(build_coefficients(f, gamma), ref)

@@ -30,6 +30,8 @@ DEGENERATE_FRACTION = 1e-14
 #: mass are excluded from the doubling supremum (and counted): below it the
 #: ratio compares tail masses that roundoff decides
 BULK_FRACTION = 1e-6
+#: ball radii the doubling supremum runs over
+DOUBLING_RADII = (0.25, 0.5, 1.0)
 #: ball sums carry an FFT roundoff of about eps times the mass, so admitted
 #: doubling ratios this close to the supremum tie; the witness is the first
 _TIE_RTOL = 1e3 * np.finfo(float).eps / BULK_FRACTION
@@ -212,14 +214,10 @@ def ball_sum_field(f: ScalarField, radius: float) -> np.ndarray:
     return conv[(slice(k // 2, k // 2 + n),) * f.grid.dim] * w
 
 
-def doubling_constant(
-    f: ScalarField,
-    radii=(0.25, 0.5, 1.0),
-    centers_mask: np.ndarray | None = None,
-) -> WeightReport:
+def doubling_constant(f: ScalarField) -> WeightReport:
     """
-    sup over grid centers and radii of the mass ratio of the double ball to
-    the ball.  Pairs whose inner integral is below ``BULK_FRACTION`` of the
+    sup over grid centers and ``DOUBLING_RADII`` of the mass ratio of the
+    double ball to the ball.  Pairs whose inner integral is below ``BULK_FRACTION`` of the
     total mass are excluded and counted.  Mirror nodes of a symmetric density
     tie up to roundoff, so the witness is the first pair (radius order, then C
     order) within ``_TIE_RTOL`` of the supremum.
@@ -228,15 +226,11 @@ def doubling_constant(
     mass = float(np.sum(f.values)) * f.grid.spacing**f.grid.dim
     if mass <= 0:
         raise NonNegativityError("doubling constant of the zero density")
-    for r in radii:
-        if not 0 < r <= 1:
-            raise ValueError(f"radii must lie in (0, 1], got {r}")
+    radii = DOUBLING_RADII
     ratios = np.empty((len(radii),) + f.grid.shape)
     for ratio, r in zip(ratios, radii):
         inner = ball_sum_field(f, r)
         alive = inner > BULK_FRACTION * mass
-        if centers_mask is not None:
-            alive &= centers_mask
         ratio[...] = np.where(alive, ball_sum_field(f, 2.0 * r) / np.where(alive, inner, 1.0), -np.inf)
     best, first = _supremum(ratios, _TIE_RTOL)
     if best == -np.inf:

@@ -181,7 +181,7 @@ def test_criterion_8_maxwell_rate_band():
 def test_criterion_8_coulomb_conditional():
     grid = make_grid(3, 4.0, 64)
     f0 = squeezed_gaussian(grid, 0.2, 0.5)
-    dbl = doubling_constant(f0, radii=(0.25, 0.5, 1.0))
+    dbl = doubling_constant(f0)
     traj = simulate(
         f0, -3.0, 2.5, snapshot_stride=1, t_ramp=0.3, dt_max=0.1
     )

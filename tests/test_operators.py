@@ -15,8 +15,7 @@ from landau_lab.operators import (
     centered_gradient,
     diffusion_matrix,
     drift_divergence,
-    folded_matrix,
-    scaled_matrix,
+    krylov_matrix,
     second_derivatives,
     smoothstep_cutoff,
 )
@@ -130,19 +129,16 @@ def test_matrix_matches_operator(rng):
             # centre, +-e_i and +-(e_i - e_j): at most 1 + d + d^2 entries per row and diagonals
             assert np.diff(csr.indptr).max() <= 1 + g.dim + g.dim**2
             assert len(S.offsets) <= 1 + g.dim + g.dim**2
-            # the folded Krylov systems T = diag(c) + s L, and their scaled copies diag(v) T diag(v)
+            # the Krylov systems diag(w) (diag(c) + s S) diag(w)
             c = rng.uniform(0.5, 2.0, size=g.n_nodes)
+            dense_S = S.toarray()
             for s in (-0.1, 0.3):
-                T = folded_matrix(S, c, s)
-                ref = c * x.ravel() + s * L(x).ravel()
-                assert np.linalg.norm(T @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
                 v = rng.uniform(0.5, 2.0, size=g.n_nodes)
-                vx = v * x.ravel()
-                ref = v * (c * vx + s * L(vx.reshape(g.shape)).ravel())
-                scaled = scaled_matrix(T, v)
-                assert np.linalg.norm(scaled @ x.ravel() - ref) <= 1e-14 * np.linalg.norm(ref)
+                dense = v[:, None] * (np.diag(c) + s * dense_S) * v[None, :]
+                K = krylov_matrix(S, c, s, v)
+                assert np.linalg.norm(K.toarray() - dense) <= 1e-15 * np.linalg.norm(dense)
                 # the float32 copy is the float64 product rounded once
-                assert np.array_equal(scaled_matrix(T, v, np.float32).data, scaled.data.astype(np.float32))
+                assert np.array_equal(krylov_matrix(S, c, s, v, np.float32).data, K.data.astype(np.float32))
 
 
 def test_cell_weight_scales_form(rng):
@@ -182,17 +178,9 @@ def test_diffusion_matrix_assembly_memory():
     ]
 
 
-def test_no_orphaned_private_helpers():
-    # every top-level private function or class of the package is used somewhere in it
-    modules = {p: ast.parse(p.read_text()) for p in pathlib.Path(landau_lab.__file__).parent.glob("*.py")}
-    defined = {
-        (path.name, node.name)
-        for path, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")
-    }
+def _names_used(trees) -> set[str]:
     used = set()
-    for tree in modules.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -200,8 +188,30 @@ def test_no_orphaned_private_helpers():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    assert defined, "no private helpers found: the scan reads the wrong files"
-    assert sorted(f"{module}:{name}" for module, name in defined if name not in used) == []
+    return used
+
+
+def test_no_orphaned_private_helpers():
+    # every top-level function or class of the package is used in it, re-exports in
+    # __init__ aside; a public one may instead be used by the benchmark in perfbench/
+    modules = {p: ast.parse(p.read_text()) for p in pathlib.Path(landau_lab.__file__).parent.glob("*.py")}
+    bench = [ast.parse(p.read_text()) for p in (pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py")]
+    defined = {
+        (path.name, node.name)
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    in_src = _names_used(tree for path, tree in modules.items() if path.name != "__init__.py")
+    in_bench = _names_used(bench)
+    assert any(name.startswith("_") for _, name in defined), "no private helpers found: the scan reads the wrong files"
+    assert bench, "no benchmark modules found: the scan reads the wrong files"
+    orphans = [
+        f"{module}:{name}"
+        for module, name in defined
+        if name not in in_src and (name.startswith("_") or name not in in_bench)
+    ]
+    assert sorted(orphans) == []
 
 
 def test_drift_divergence_conservative_and_consistent(rng):

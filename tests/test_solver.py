@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from landau_lab import solver
 from landau_lab.coefficients import build_coefficients
 from landau_lab.errors import IterationError, NonNegativityError
 from landau_lab.grid import ScalarField, counterexample_profile, make_grid, maxwellian, moments, squeezed_gaussian
-from landau_lab.operators import folded_matrix, nondivergence_apply
+from landau_lab.operators import nondivergence_apply
 from landau_lab.solver import (
     CG_TOL,
     collision_operator,
@@ -231,8 +232,8 @@ def test_imex_solve_failure_reports_residual(rng, monkeypatch):
     resid = np.linalg.norm(rhs - (split.mref.values * x - 0.1 * _oracle_of(split)(x))) / np.linalg.norm(rhs)
     assert info.value.residual == pytest.approx(resid, rel=1e-12)
     # the reported residual is the einsum reduction, not a threaded-BLAS norm
-    b = rhs.ravel()
-    r = b - folded_matrix(split.matrix, split.mref.values.ravel(), -0.1) @ x.ravel()
+    b, mref, u = rhs.ravel(), split.mref.values.ravel(), x.ravel()
+    r = b - (mref * u - 0.1 * (split.matrix @ u))
     assert info.value.residual == math.sqrt(np.einsum("i,i->", r, r)) / math.sqrt(np.einsum("i,i->", b, b))
     assert f"relative residual {resid:.3g}" in str(info.value)
     assert "after 2 iterations" in str(info.value)
@@ -256,9 +257,10 @@ def test_imex_solve_matches_dense_solve(rng):
 
 
 def _relative_residual(split, dt, rhs, f):
-    """||rhs - T u|| / ||rhs|| in float64, u = f/M, T the folded implicit matrix."""
+    """||rhs - T u|| / ||rhs|| in float64, u = f/M, T = diag(M) - dt S the implicit system."""
     mref = split.mref.values.ravel()
-    r = rhs.ravel() - folded_matrix(split.matrix, mref, -dt) @ (f.ravel() / mref)
+    u = f.ravel() / mref
+    r = rhs.ravel() - (mref * u - dt * (split.matrix @ u))
     return np.linalg.norm(r) / np.linalg.norm(rhs)
 
 
@@ -276,7 +278,7 @@ def test_imex_solve_scales_a_diagonal_below_float32(rng):
     M = maxwellian(make_grid(3, 8.0, 32))
     split = split_of(M, 0.0)
     dt = 0.01
-    diag = folded_matrix(split.matrix, split.mref.values.ravel(), -dt).diagonal()
+    diag = split.mref.values.ravel() - dt * split.matrix.diagonal()
     with np.errstate(over="ignore", divide="ignore"):
         assert np.isinf(1.0 / diag.astype(np.float32)).any()
     rhs = M.values * rng.uniform(0.5, 1.5, size=M.grid.shape)
@@ -284,6 +286,22 @@ def test_imex_solve_scales_a_diagonal_below_float32(rng):
     assert np.all(np.isfinite(f))
     assert residual <= CG_TOL
     assert _relative_residual(split, dt, rhs, f) <= CG_TOL
+
+
+def test_imex_solve_memory(rng):
+    # T = diag(M) - dt S is never stored: beside a few vectors, a solve holds only
+    # its float32 Krylov system, half the size of S's data
+    M = maxwellian(make_grid(3, 8.0, 32))
+    split = split_of(M, 0.0)
+    rhs = M.values * rng.uniform(0.5, 1.5, size=M.grid.shape)
+    solver._imex_solve(split, 0.05, rhs)
+    tracemalloc.start()
+    try:
+        solver._imex_solve(split, 0.05, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * split.matrix.data.nbytes
 
 
 def test_imex_solve_stalled_pass_raises(rng, monkeypatch):

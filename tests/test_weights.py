@@ -133,22 +133,28 @@ def test_reverse_holder_excludes_empty_cubes(grid16, cubes16):
     assert np.isfinite(rep.value)
 
 
-def test_doubling_constant_const_field():
+def test_doubling_constant_const_field(monkeypatch):
+    # away from the box, the double ball of a constant field holds 2^3 times the ball's mass
     g = make_grid(3, 8.0, 32)
     ones = ScalarField(g, np.ones(g.shape))
     interior = g.radius() < 5.0
-    rep = doubling_constant(ones, radii=(1.0,), centers_mask=interior)
-    assert rep.value == pytest.approx(8.0, rel=0.1)
+    ratio = weights.ball_sum_field(ones, 2.0) / weights.ball_sum_field(ones, 1.0)
+    assert ratio[interior] == pytest.approx(8.0, rel=0.1)
+    # the supremum runs over DOUBLING_RADII, interior centres included
+    monkeypatch.setattr(weights, "DOUBLING_RADII", (1.0,))
+    rep = doubling_constant(ones)
+    assert rep.cube_set == {"radii": [1.0]}
+    assert rep.value >= ratio[interior].max()
 
 
 def test_doubling_maxwellian_vs_shell(grid24, maxwellian24):
     from landau_lab.grid import shell_profile
 
-    rep_m = doubling_constant(maxwellian24, radii=(0.25, 0.5, 1.0))
+    rep_m = doubling_constant(maxwellian24)
     assert np.isfinite(rep_m.value) and rep_m.value > 1.0
     # thin spherical shell: hollow interior makes the doubling much worse
     shell = shell_profile(grid24, 2.0, 0.2)
-    rep_s = doubling_constant(shell, radii=(0.25, 0.5, 1.0))
+    rep_s = doubling_constant(shell)
     assert rep_s.value >= 10.0 * rep_m.value
 
 
