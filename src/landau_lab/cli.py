@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coeff
-from .errors import ConfigError, LandauLabError
+from .errors import ConfigError, GammaRangeError, LandauLabError
 from .grid import (
     ScalarField,
     counterexample_profile,
@@ -111,9 +111,12 @@ def parse_config(raw: dict) -> dict:
     if cfg["gamma"] is not None and cfg["dim"] is not None:
         if not -cfg["dim"] <= cfg["gamma"] <= 0:
             problems.append(f"field 'gamma' must lie in [-{cfg['dim']}, 0], got {cfg['gamma']}")
-        elif n_valid:
-            over = coeff.plan_budget_problem(n, cfg["gamma"])
-            if over:
+        else:
+            try:
+                coeff.kernel_constants(cfg["gamma"])
+            except GammaRangeError as exc:
+                problems.append(f"field 'gamma': {exc}")
+            if n_valid and (over := coeff.plan_budget_problem(n, cfg["gamma"])):
                 problems.append(over)
     if cfg["t_final"] is not None and not 0 <= cfg["t_final"] < np.inf:
         problems.append(f"field 't_final' must be finite and nonnegative, got {cfg['t_final']}")
@@ -402,14 +405,18 @@ def main(argv=None) -> int:
     p_ver.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("LANDAU_LAB_THREADS")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            print(f"error: LANDAU_LAB_THREADS must be an integer, got {env!r}", file=sys.stderr)
-            return 2
+    if args.threads is None:
+        source, raw = "LANDAU_LAB_THREADS", os.environ.get("LANDAU_LAB_THREADS") or "1"
+    else:
+        source, raw = "--threads", args.threads
+    try:
+        threads = int(raw)
+    except ValueError:
+        print(f"error: {source} must be an integer, got {raw!r}", file=sys.stderr)
+        return 2
+    if threads < 1:
+        print(f"error: {source} must be >= 1, got {raw!r}", file=sys.stderr)
+        return 2
     coeff.set_fft_workers(threads)
 
     try:

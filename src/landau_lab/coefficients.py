@@ -74,9 +74,11 @@ _DEF_WORKERS = 1
 
 
 def set_fft_workers(n: int):
-    """Set the worker count passed to scipy.fft (thread parallelism)."""
+    """Set the worker count passed to scipy.fft (thread parallelism); n must be >= 1."""
     global _DEF_WORKERS
-    _DEF_WORKERS = max(1, int(n))
+    if n < 1:
+        raise ValueError(f"the FFT worker count must be >= 1, got {n}")
+    _DEF_WORKERS = int(n)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -104,7 +106,9 @@ def kernel_constants(gamma: float) -> dict[str, float]:
         # Riesz constant of order s = 3 + gamma: (-Delta)^(-s/2) f = c_h (f conv |z|^gamma)
         s = 3 + g
         if not s < 3:  # 3 + gamma rounds to 3 for gamma within 2.3e-16 of 0
-            raise ValueError(f"Riesz order must lie in (0, 3), got {s}")
+            raise GammaRangeError(
+                f"gamma = {g} is too close to 0: 3 + gamma rounds to 3, where the Riesz constant diverges"
+            )
         c_h = math.gamma((3 - s) / 2.0) / (2.0**s * math.pi**1.5 * math.gamma(s / 2.0))
         C_A = c_h / (2 * s)
     c_a = 2 * C_A

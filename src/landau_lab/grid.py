@@ -238,14 +238,67 @@ def moments(f: ScalarField) -> tuple[float, np.ndarray, float]:
     return mass, mom, energy
 
 
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """
+    A root of ``f`` in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4).
+
+    It follows scipy's C routine ``brentq`` step for step, with the same
+    float64 operations in the same order, so it returns scipy's root
+    bit for bit.  Raises GridError if f(xa) and f(xb) have the same sign or
+    if ``_BRENT_MAXITER`` iterations pass without convergence.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise GridError(f"no sign change of the root function on [{xa}, {xb}]")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise GridError(f"root iteration did not converge within {_BRENT_MAXITER} iterations on [{xa}, {xb}]")
+
+
 def _renormalize_isotropic(grid: VelocityGrid, sampler) -> ScalarField:
     """
     Rescale an isotropic profile family ``sampler(scale)`` so the discrete
-    moments are (1, 0, d), solving for the velocity scale by bisection and
-    normalizing mass by division.
+    moments are (1, 0, d), solving for the velocity scale by Brent's method
+    and normalizing mass by division.
     """
-    from scipy.optimize import brentq
-
     r2 = grid.radius_squared()
 
     def ratio(s: float) -> float:
@@ -264,7 +317,7 @@ def _renormalize_isotropic(grid: VelocityGrid, sampler) -> ScalarField:
         fhi = ratio(hi)
     if flo > 0 or fhi < 0:
         raise GridError("cannot match the energy moment on this grid")
-    s = brentq(ratio, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    s = _brentq(ratio, lo, hi, xtol=1e-14, rtol=8.9e-16)
     vals = sampler(s, r2)
     vals = vals / (float(np.sum(vals)) * grid.spacing**grid.dim)
     return ScalarField(grid, vals)

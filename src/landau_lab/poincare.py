@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .coefficients import CoefficientBundle, build_coefficients
 from .errors import GammaRangeError, IterationError
@@ -79,6 +78,8 @@ def _top_eigenvalue(
     in einsum, never on threaded BLAS, so the result does not depend on the
     BLAS thread count.
     """
+    import scipy.linalg  # loaded by the first eigenvalue, not by every command
+
     shape = h.shape
     hflat = h.ravel()
     weight = mass_weight.ravel()

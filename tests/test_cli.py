@@ -31,11 +31,14 @@ def write_config(tmp_path, cfg, name="run.json"):
 
 
 def test_parse_config_reports_all_problems():
-    for scheme in ("bogus", "explicit"):
+    # gamma = -1e-17 lies in [-3, 0], but 3 + gamma rounds to 3, where the Riesz constant diverges
+    for extra in ({"scheme": "bogus"}, {"scheme": "explicit"}, {"scheme": "bogus", "gamma": -1e-17}):
         with pytest.raises(ConfigError) as err:
-            cli.parse_config({"grid": {"dim": 3}, "scheme": scheme})
+            cli.parse_config({"grid": {"dim": 3}, **extra})
         msg = str(err.value)
         assert "gamma" in msg
+        if "gamma" in extra:
+            assert "rounds to 3" in msg
         assert "t_final" in msg
         assert "half_extent" in msg
         assert "scheme" in msg
@@ -131,10 +134,14 @@ def test_parse_config_rejects_non_finite_half_extent():
 
 
 def test_bad_thread_variable_is_a_clean_error(monkeypatch, capsys):
-    monkeypatch.setenv("LANDAU_LAB_THREADS", "abc")
-    assert cli.main(["verify", "--suite", "quick"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "LANDAU_LAB_THREADS" in err and "'abc'" in err
+    for value, problem in (("abc", "must be an integer"), ("0", "must be >= 1"), ("-2", "must be >= 1")):
+        monkeypatch.setenv("LANDAU_LAB_THREADS", value)
+        assert cli.main(["verify", "--suite", "quick"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: LANDAU_LAB_THREADS " + problem) and repr(value) in err
+    for value in ("0", "-2"):
+        assert cli.main(["--threads", value, "verify", "--suite", "quick"]) == 2
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {value}\n"
 
 
 def test_parse_config_gamma_range():
@@ -173,6 +180,8 @@ def test_simulate_missing_gamma_exit_code(tmp_path):
     cfg = minimal_config()
     del cfg["gamma"]
     cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    cfg_path = write_config(tmp_path, minimal_config(gamma=-1e-17))
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
 
 
@@ -334,19 +343,45 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
+def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # a gamma = 0 run and its rate fit load neither scipy.optimize nor scipy.linalg;
+    # the first Lanczos eigenvalue loads scipy.linalg
     import os
     import pathlib
     import subprocess
     import sys
+    import textwrap
 
     import landau_lab
 
-    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
-    code = f"import sys, landau_lab; print([m for m in {heavy!r} if m in sys.modules])"
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.linalg")
+    config = minimal_config(grid={"dim": 3, "half_extent": 4.0, "points_per_axis": 8}, dt={"fixed": 0.05}, t_final=0.5)
+    cfg_path = write_config(tmp_path, config)
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from landau_lab import cli
+        from landau_lab.coefficients import build_coefficients
+        from landau_lab.grid import make_grid, maxwellian, squeezed_gaussian
+        from landau_lab.poincare import lambda_curve
+
+        def loaded():
+            return [m for m in {heavy!r} if m in sys.modules]
+
+        print(loaded())
+        grid = make_grid(3, 4.0, 8)
+        maxwellian(grid)
+        squeezed_gaussian(grid, 0.35)
+        cli.cmd_simulate({str(cfg_path)!r}, {str(tmp_path / "run")!r})
+        cli.cmd_rates({str(tmp_path / "run")!r}, "main_1", [2.0], {str(tmp_path / "fits")!r})
+        print(loaded())
+        lambda_curve(build_coefficients(maxwellian(grid), 0.0), [0.1])
+        print(loaded())
+        """
+    )
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(landau_lab.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "['scipy.linalg']"]
 
 
 def test_profile_kinds(tmp_path):

@@ -15,6 +15,7 @@ from landau_lab.errors import (
 )
 from landau_lab.grid import (
     ScalarField,
+    _brentq,
     counterexample_profile,
     make_dyadic_cubes,
     make_grid,
@@ -97,6 +98,42 @@ def test_maxwellian_bit_stable(grid16):
     b = maxwellian(grid16)
     assert a.values.tobytes() == b.values.tobytes()
 
+
+
+def test_brentq_port_matches_scipy(monkeypatch):
+    # the port must return scipy's root bit for bit, so profiles keep their bytes
+    from scipy.optimize import brentq
+
+    tol = {"xtol": 1e-14, "rtol": 8.9e-16}
+    roots = []
+
+    def record(f, xa, xb, **kw):
+        roots.append((f, xa, xb))
+        return _brentq(f, xa, xb, **kw)
+
+    monkeypatch.setattr("landau_lab.grid._brentq", record)
+    for half_extent in (4.0, 8.0):
+        for n in (8, 16, 32):
+            grid = make_grid(3, half_extent, n)
+            maxwellian(grid)
+            squeezed_gaussian(grid, 0.35)
+    assert len(roots) == 12
+    analytic = [
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 10, 0.0, 5.0),
+        (lambda x: math.atan(x - 0.3), -10.0, 100.0),
+        (lambda x: x, 0.0, 1.0),  # root at an endpoint
+    ]
+    for f, xa, xb in roots + analytic:
+        assert _brentq(f, xa, xb, **tol) == brentq(f, xa, xb, **tol)
+    with pytest.raises(GridError, match="no sign change"):
+        _brentq(lambda x: x * x + 1, -1.0, 1.0, **tol)
+    # roundoff around the triple root stalls both after 100 iterations
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(lambda x: (x - 1) ** 3, 0.0, 3.0, **tol)
+    with pytest.raises(GridError, match="100 iterations"):
+        _brentq(lambda x: (x - 1) ** 3, 0.0, 3.0, **tol)
 
 def _cube_average(f, cube):
     return float(np.mean(f.values[cube.slices()]))
