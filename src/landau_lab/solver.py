@@ -28,8 +28,11 @@ logged, never silently renormalized.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,10 @@ CG_TOL = 1e-10  # relative float64 residual at which the implicit solve stops
 INNER_TOL = 1e-3  # relative residual at which each refinement pass stops
 CG_MAXITER = 4000  # CG iterations of all refinement passes of one solve together
 MASS_DRIFT_TOL = 1e-5  # relative ledger mass drift at which a run aborts
+# glibc's mallopt parameters (malloc.h) and the values a run pins them to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_MMAP_BYTES = 32 << 20  # the ceiling of glibc's own dynamic mmap threshold
+_HEAP_TRIM_BYTES = 64 << 20
 
 
 class ConservationError(LandauLabError, RuntimeError):
@@ -134,6 +141,30 @@ class Trajectory:
     @property
     def final(self) -> ScalarField:
         return self.snapshots[-1]
+
+
+@functools.cache
+def _pin_heap() -> bool:
+    """
+    Pin glibc's mmap and trim thresholds for the rest of the process; returns
+    whether the C library took them.  A run frees and re-allocates its node
+    arrays and diagonal storage at every step.  Left to adjust itself, glibc
+    raises both thresholds with the largest mapped block freed so far, so
+    whether the freed heap top goes back to the system at a step boundary, to
+    be faulted in again by the next step, depends on what the process
+    allocated before the run: one relax run (N=32, gamma=0, t_final=1)
+    faulted 5.0k, 5.9k or 13.6k times, by process, where the thresholds
+    were left alone.  Pinned, blocks below 32 MiB come from the heap and at
+    most 64 MiB of free heap top is kept, so a repeated run faults only where
+    its heap grows.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not glibc
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES) and mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +450,7 @@ def simulate(
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride!r}")
     f0.require_density("initial data")
+    _pin_heap()
     f, time = f0.copy(), 0.0
     times = [time]
     snaps = [f]
@@ -452,9 +484,8 @@ def simulate(
         dt = min(dt, t_final - time)
         f, stats = step(split, dt)
         # hold this step's matrix until the next one is assembled, so the two same-size
-        # matrix blocks alternate.  Released with its operator, the emptied heap top goes
-        # back to the system every step and is faulted in again (N=32: up to 13k minor
-        # page faults a run against 2.8-5.2k, and a 7 MB higher peak)
+        # matrix blocks alternate.  Released with its operator, its block is split by the
+        # next step's temporaries and the heap grows (N=32: a 4-5 MB higher peak)
         held = split.matrix
         del split
         split = make_split_operator(build_coefficients(f, gamma), ref)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -437,6 +438,26 @@ def test_simulate_bytes_independent_of_blas_threads(tmp_path):
         blobs.append(((out / "ledger.csv").read_bytes(), snapshots[-1].name, snapshots[-1].read_bytes()))
     assert len(blobs[0][0].splitlines()) == 8  # header and 7 rows: 6 steps of 0.05
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_repeated_run_faults_only_where_its_heap_grows():
+    # a fresh interpreter, so the allocator state is the run's own
+    code = """
+import resource
+from landau_lab import grid, solver
+f0 = grid.squeezed_gaussian(grid.make_grid(3, 4.0, 16), 0.15, 0.5)
+solver.simulate(f0, 0.0, 0.5, dt_max=0.1, t_ramp=0.3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+solver.simulate(f0, 0.0, 0.5, dt_max=0.1, t_ramp=0.3)
+print(solver._pin_heap(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    package_root = os.path.dirname(os.path.dirname(solver.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    pinned, faults = out.stdout.split()
+    assert pinned == "True"
+    assert int(faults) < 100, faults  # measured 3-6; 646 under glibc's self-adjusting thresholds
 
 
 def test_conservation_error_reports_clipping(grid16, monkeypatch):
