@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coeff
-from .errors import ConfigError, GammaRangeError, LandauLabError
+from .errors import ConfigError, GammaRangeError, GridError, LandauLabError
 from .grid import (
     ScalarField,
     counterexample_profile,
@@ -213,12 +213,21 @@ def cmd_simulate(config_path, out_dir, seed: int | None = None) -> str:
 
 
 def _run_toggled_diagnostics(traj: Trajectory, cfg: dict, out_dir):
-    diags = cfg.get("diagnostics") or {}
-    if diags.get("weights"):
+    """
+    Each diagnostic whose key the ``diagnostics`` table holds, with a table
+    value as its parameters: an empty table runs it with its defaults, and
+    only ``false`` skips it.
+    """
+    diags = {
+        key: value if isinstance(value, dict) else {}
+        for key, value in (cfg.get("diagnostics") or {}).items()
+        if value is not False
+    }
+    if "weights" in diags:
         _diagnose_weights(traj.final, traj.gamma, out_dir, params=diags["weights"])
-    if diags.get("poincare"):
+    if "poincare" in diags:
         _diagnose_poincare(traj.final, traj.gamma, out_dir, params=diags["poincare"])
-    if diags.get("rates"):
+    if "rates" in diags:
         params = diags["rates"]
         fit = fit_decay(
             traj,
@@ -226,7 +235,7 @@ def _run_toggled_diagnostics(traj: Trajectory, cfg: dict, out_dir):
             params.get("theorem_id", "main_1"),
         )
         write_json(os.path.join(out_dir, "rate_fit.json"), fit.to_dict())
-    if diags.get("moser"):
+    if "moser" in diags:
         params = diags["moser"]
         rep = moser_report(traj, int(params.get("n_max", 6)), float(params.get("R", 4.0)))
         write_json(os.path.join(out_dir, "moser.json"), rep)
@@ -330,10 +339,17 @@ def cmd_diagnose(target, which: str, out_dir, gamma: float | None = None) -> dic
 
 
 def cmd_rates(run_dir, theorem_id: str, R_list, out_dir) -> list:
-    os.makedirs(out_dir, exist_ok=True)
     traj = load_trajectory(run_dir)
     if len(traj.snapshots) < 6:
         raise ConfigError([f"run has {len(traj.snapshots)} snapshots; rate fits need >= 6"])
+    # every radius is checked before any fit is written, so a bad list leaves no partial output
+    too_large = [R for R in R_list if R > traj.grid.half_extent]
+    if too_large:
+        verb = "exceeds" if len(too_large) == 1 else "exceed"
+        raise GridError(
+            f"R={', '.join(f'{R:g}' for R in too_large)} {verb} the domain half extent {traj.grid.half_extent}"
+        )
+    os.makedirs(out_dir, exist_ok=True)
     fits = []
     for R in R_list:
         fit = fit_decay(traj, R, theorem_id, R_sweep=tuple(R_list))

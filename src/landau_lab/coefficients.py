@@ -48,11 +48,15 @@ built.  The kernels are isotropic, so a plan stores one octant per
 axis-permutation class, A00, A01, D0 and h (and a when asked), and serves
 A11, A22, A02, A12, D1 and D2 as axis transposes of them, whose odd axes move
 with the transpose.  The four octants of an N=64 bundle take 8.4 MiB, and the
-1 GiB budget first refuses a gamma < 0 bundle at N=322.  The product unfolds
-the octant through reversed views, negated where an odd axis flips.  f fills
-[0, N)^3 of the box, so the forward transform runs only over its nonzero
-lines, and each inverse transform keeps only the N output lines it needs on
-every axis: the result is [0, N)^3.
+1 GiB budget first refuses a gamma < 0 bundle at N=322.  f fills [0, N)^3 of
+the box, so the forward transform runs only over its nonzero lines, and each
+inverse transform keeps only the N output lines it needs on every axis: the
+result is [0, N)^3.  The spectrum of f is the only buffer of the box's size.
+Each kind multiplies it by the octant, unfolded through reversed views and
+negated where an odd axis flips, a slab of a few axis-1 columns at a time, and
+each slab's axis-0 inverse keeps its N rows in one buffer shared by all kinds.
+The axis-1 inverse runs in place there, and the axis-2 inverse writes a few
+planes at a time into the kind's row of one (kinds, N, N, N) block.
 """
 
 from __future__ import annotations
@@ -337,7 +341,7 @@ def _get_plan(grid: VelocityGrid, gamma: float, kinds: list[str]) -> _ConvPlan:
     return plan
 
 
-def _moment_convolve(f: ScalarField, kinds: list[str]) -> list[np.ndarray]:
+def _moment_convolve(f: ScalarField, kinds: list[str]) -> np.ndarray:
     """
     The gamma = 0 convolutions in closed form.  Every kernel is then a
     polynomial of degree at most 2 in the offset z, sampled exactly (offset
@@ -362,6 +366,7 @@ def _moment_convolve(f: ScalarField, kinds: list[str]) -> list[np.ndarray]:
         m = np.einsum(sub, fabs)
         total = float(np.einsum("i->", m))
         u.append(float(np.einsum("i,i->", m, axis)) / total if total else 0.0)
+    del fabs
     y = [axis - c for c in u]  # centred node coordinates along each axis
     marg2 = {
         (0, 1): w * np.einsum("ijk->ij", f.values),
@@ -375,8 +380,8 @@ def _moment_convolve(f: ScalarField, kinds: list[str]) -> list[np.ndarray]:
     M.update({(i, j): float(np.einsum("ij,i,j->", m, y[i], y[j])) for (i, j), m in marg2.items()})
     x = [c - uk for c, uk in zip(grid.coords(), u)]  # broadcastable v - u
     G = {(i, j): m0 * x[i] * x[j] - x[i] * P[j] - x[j] * P[i] + M[i, j] for i, j in COMPONENT_PAIRS}
-    out = []
-    for kind in kinds:
+    out = np.empty((len(kinds),) + grid.shape)
+    for row, kind in zip(out, kinds):
         if kind == "h":
             val = m0
         elif kind == "a":
@@ -389,64 +394,91 @@ def _moment_convolve(f: ScalarField, kinds: list[str]) -> list[np.ndarray]:
             val = m0 * x[i] - P[i]
         else:
             raise ValueError(f"unknown kernel kind {kind!r}")
-        conv = np.empty(grid.shape)
-        conv[...] = val
-        out.append(conv)
+        row[...] = val
     return out
 
 
-def fft_convolve(f: ScalarField, gamma: float, kinds: list[str]) -> list[np.ndarray]:
+_SLAB = 4  # axis-1 columns per octant product and axis-0 inverse pass
+_PLANES = 4  # axis-0 planes per axis-2 inverse pass, and per block of the closed-form eigenvalues
+
+
+def _unfold(P: int, lo: int, hi: int) -> list[tuple[slice, slice, bool]]:
+    """
+    (rows of lo..hi-1, octant rows, flipped) for each half of the unfolded
+    axis that lo..hi-1 meets: rows m..P-1, m = P/2 + 1, read octant rows
+    P-m..1 in reverse.
+    """
+    m = P // 2 + 1
+    parts = []
+    if lo < m:
+        parts.append((slice(0, min(hi, m) - lo), slice(lo, min(hi, m)), False))
+    if hi > m:
+        start = max(lo, m)
+        parts.append((slice(start - lo, hi - lo), slice(P - start, P - hi, -1), True))
+    return parts
+
+
+def fft_convolve(f: ScalarField, gamma: float, kinds: list[str]) -> np.ndarray:
     """
     Linear convolutions of ``f`` with the requested kernel tables, sharing one
-    forward transform.  Results include the quadrature weight spacing^d but no
-    normalization constant.  At gamma = 0 the kernels are polynomials, and the
-    results come in closed form from the moments of f, with no plan and no
-    transform.
+    forward transform, as one (len(kinds), N, N, N) block.  Results include
+    the quadrature weight spacing^d but no normalization constant.  At gamma
+    = 0 the kernels are polynomials, and the results come in closed form from
+    the moments of f, with no plan and no transform.
     """
     if gamma == 0.0:
         return _moment_convolve(f, kinds)
     grid = f.grid
     plan = _get_plan(grid, gamma, kinds)
     n, P = grid.points_per_axis, plan.pad
+    m = P // 2 + 1
     # f fills [0, n)^3 of the P^3 box: transform only its nonzero lines
     fhat = sfft.rfft(f.values, P, axis=2, workers=_DEF_WORKERS)
     fhat = sfft.fft(fhat, P, axis=0, workers=_DEF_WORKERS)
     fhat = sfft.fft(fhat, P, axis=1, workers=_DEF_WORKERS)
-    prod = np.empty_like(fhat)  # reused by every kind; the inverse passes overwrite it
-    m = P // 2 + 1
-    # rows m..P-1 of axes 0 and 1 read octant rows P-m..1 of the stored spectrum
-    halves = ((slice(0, m), slice(None), False), (slice(m, P), slice(P - m, 0, -1), True))
     w = grid.spacing**grid.dim
-    out = []
-    for kind in kinds:
+    out = np.empty((len(kinds),) + grid.shape)
+    # the n output rows of the axis-0 pass, shared by all kinds; the axis-1 pass runs in place
+    rows = np.empty((n, P, m), dtype=complex)
+    # flat so that the narrower last slab is contiguous too, and transforms in place
+    kslab_flat = np.empty(P * _SLAB * m)
+    slab_flat = np.empty(P * _SLAB * m, dtype=complex)
+    row_halves = _unfold(P, 0, P)
+    for k, kind in enumerate(kinds):
         octant = plan.kernel_fft(kind)
         odd = _odd_axes(kind)
-        for (rows0, oct0, flip0), (rows1, oct1, flip1) in itertools.product(halves, halves):
-            view = octant[oct0, oct1]
-            if (flip0 and 0 in odd) != (flip1 and 1 in odd):
-                view = -view  # negate the real octant block, never the complex product
-            np.multiply(fhat[rows0, rows1], view, out=prod[rows0, rows1])
-        # keep only the n output lines of each inverse pass
-        conv = sfft.ifft(prod, axis=0, overwrite_x=True, workers=_DEF_WORKERS)[:n]
-        conv = sfft.ifft(conv, axis=1, overwrite_x=True, workers=_DEF_WORKERS)[:, :n]
-        if kind.startswith("D"):
-            conv *= 1j  # the D spectra are imaginary: apply the factor i to the pruned lines
-        conv = sfft.irfft(conv, P, axis=2, workers=_DEF_WORKERS)[:, :, :n]
-        out.append(w * conv)
+        for j0 in range(0, P, _SLAB):
+            j1 = min(j0 + _SLAB, P)
+            shape = (P, j1 - j0, m)
+            kslab = kslab_flat[: math.prod(shape)].reshape(shape)
+            for (rows0, oct0, flip0), (cols, oct1, flip1) in itertools.product(row_halves, _unfold(P, j0, j1)):
+                if (flip0 and 0 in odd) != (flip1 and 1 in odd):
+                    np.negative(octant[oct0, oct1], out=kslab[rows0, cols])
+                else:
+                    kslab[rows0, cols] = octant[oct0, oct1]
+            slab = np.multiply(fhat[:, j0:j1], kslab, out=slab_flat[: kslab.size].reshape(shape))
+            rows[:, j0:j1] = sfft.ifft(slab, axis=0, overwrite_x=True, workers=_DEF_WORKERS)[:n]
+        sfft.ifft(rows, axis=1, overwrite_x=True, workers=_DEF_WORKERS)
+        for i0 in range(0, n, _PLANES):
+            block = rows[i0 : i0 + _PLANES, :n]  # keep only the n output lines of each pass
+            if kind.startswith("D"):
+                block *= 1j  # the D spectra are imaginary: apply the factor i to the pruned lines
+            conv = sfft.irfft(block, P, axis=2, workers=_DEF_WORKERS)[:, :, :n]
+            np.multiply(conv, w, out=out[k, i0 : i0 + _PLANES])
     return out
 
 
-def direct_convolve_many(f: ScalarField, gamma: float, kinds: list[str]) -> list[np.ndarray]:
+def direct_convolve_many(f: ScalarField, gamma: float, kinds: list[str]) -> np.ndarray:
     """
     O(N^(2d)) pairwise summation with the same kernel values as the fast
     path, sharing the offset geometry across kernels, 512 targets at a time.
-    Independent oracle for small grids.
+    Independent oracle for small grids; returns the block ``fft_convolve``
+    does.
     """
     grid = f.grid
     pts = np.stack([np.broadcast_to(c, grid.shape).ravel() for c in grid.coords()], axis=-1)
     fv = f.values.ravel()
-    w = grid.spacing**grid.dim
-    outs = [np.empty(pts.shape[0]) for _ in kinds]
+    out = np.empty((len(kinds), pts.shape[0]))
     for start in range(0, pts.shape[0], 512):
         tgt = pts[start : start + 512]
         z = tgt[:, None, :] - pts[None, :, :]
@@ -454,8 +486,9 @@ def direct_convolve_many(f: ScalarField, gamma: float, kinds: list[str]) -> list
         coords = tuple(z[..., i] for i in range(grid.dim))
         for k_idx, kind in enumerate(kinds):
             k = kernel_point_values(grid.spacing, gamma, kind, coords, r2)
-            outs[k_idx][start : start + 512] = k @ fv
-    return [w * o.reshape(grid.shape) for o in outs]
+            out[k_idx, start : start + 512] = k @ fv
+    out *= grid.spacing**grid.dim
+    return out.reshape((len(kinds),) + grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +511,10 @@ class MatrixField:
         return self.comps[COMPONENT_ROW[i, j]]
 
     def trace(self) -> np.ndarray:
-        return sum(self.component(i, i) for i in range(self.grid.dim))
+        out = np.zeros(self.grid.shape)
+        for i in range(self.grid.dim):
+            out += self.component(i, i)
+        return out
 
     def apply(self, vec: list[np.ndarray]) -> list[np.ndarray]:
         """Matrix-vector product per node with a vector of node arrays."""
@@ -498,9 +534,16 @@ class MatrixField:
 
 
 def _eig3_sym_minmax(A: MatrixField) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of symmetric 3x3 node matrices, closed form."""
-    a00, a01, a02 = A.component(0, 0), A.component(0, 1), A.component(0, 2)
-    a11, a12, a22 = A.component(1, 1), A.component(1, 2), A.component(2, 2)
+    """Smallest and largest eigenvalue of symmetric 3x3 node matrices, closed form, a few planes at a time."""
+    lam_min, lam_max = np.empty(A.grid.shape), np.empty(A.grid.shape)
+    for i0 in range(0, A.grid.points_per_axis, _PLANES):
+        planes = slice(i0, i0 + _PLANES)
+        lam_min[planes], lam_max[planes] = _eig3_block(*A.comps[:, planes])
+    return lam_min, lam_max
+
+
+def _eig3_block(a00, a01, a02, a11, a12, a22) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of the symmetric 3x3 matrices with these upper-triangle entries."""
     p1 = a01**2 + a02**2 + a12**2
     q = (a00 + a11 + a22) / 3.0
     p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
@@ -559,7 +602,8 @@ def h_field(f: ScalarField, gamma: float) -> ScalarField:
     if g == -3:
         return f.copy()
     (conv,) = fft_convolve(f, g, ["h"])
-    return ScalarField(f.grid, consts["c_h"] * conv)
+    conv *= consts["c_h"]
+    return ScalarField(f.grid, conv)
 
 
 def a_field(f: ScalarField, gamma: float) -> ScalarField:
@@ -568,7 +612,8 @@ def a_field(f: ScalarField, gamma: float) -> ScalarField:
     f.require_density("a_field input")
     consts = kernel_constants(g)
     (conv,) = fft_convolve(f, g, ["a"])
-    return ScalarField(f.grid, consts["c_a"] * conv)
+    conv *= consts["c_a"]
+    return ScalarField(f.grid, conv)
 
 
 def matrix_field(f: ScalarField, gamma: float) -> MatrixField:
@@ -576,8 +621,9 @@ def matrix_field(f: ScalarField, gamma: float) -> MatrixField:
     g = _check_gamma(gamma)
     f.require_density("matrix_field input")
     consts = kernel_constants(g)
-    kinds = [f"A{i}{j}" for i, j in COMPONENT_PAIRS]
-    return MatrixField(f.grid, np.stack([consts["C_A"] * c for c in fft_convolve(f, g, kinds)]))
+    comps = fft_convolve(f, g, [f"A{i}{j}" for i, j in COMPONENT_PAIRS])
+    comps *= consts["C_A"]
+    return MatrixField(f.grid, comps)
 
 
 def a_star_field(A: MatrixField) -> ScalarField:
@@ -611,21 +657,23 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     """
     Compute h, a, A and the drift for one density from one
     ``fft_convolve`` call: one forward FFT for gamma < 0, the moments of f at
-    gamma = 0.  a* follows on first read.
+    gamma = 0.  The fields are rows of its block, scaled in place: A rows
+    0-5, the drift rows 6-8, h the last row.  a* follows on first read.
     """
     g = _check_gamma(gamma)
     f.require_density("density")
     consts = kernel_constants(g)
     convs = fft_convolve(f, g, _bundle_kinds(g))
     nA = len(COMPONENT_PAIRS)
-    comps = np.stack([consts["C_A"] * c for c in convs[:nA]])
-    A = MatrixField(f.grid, comps)
-    dvec = convs[nA : nA + f.grid.dim]
-    drift = [ScalarField(f.grid, consts["c_drift"] * c) for c in dvec]
+    convs[:nA] *= consts["C_A"]
+    A = MatrixField(f.grid, convs[:nA])
+    convs[nA : nA + f.grid.dim] *= consts["c_drift"]
+    drift = [ScalarField(f.grid, c) for c in convs[nA : nA + f.grid.dim]]
     if g == -3:
         h = f.copy()
     else:
-        h = ScalarField(f.grid, consts["c_h"] * convs[-1])
+        convs[-1] *= consts["c_h"]
+        h = ScalarField(f.grid, convs[-1])
     _require_finite(A)
     a = ScalarField(f.grid, A.trace())
     return CoefficientBundle(g, f, h, a, A, drift)

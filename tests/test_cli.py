@@ -215,6 +215,23 @@ def test_simulate_diagnostics_toggles(tmp_path):
     assert (out / "weights.json").read_bytes() == (diag / "weights.json").read_bytes()
 
 
+def test_simulate_runs_diagnostics_given_as_empty_tables(tmp_path):
+    # the README's form: an empty table runs a diagnostic with its defaults
+    cfg = minimal_config(
+        grid={"dim": 3, "half_extent": 8.0, "points_per_axis": 12},
+        gamma=-1.0,
+        initial_profile={"kind": "squeezed_gaussian", "sigma": 0.5},
+        t_final=0.6,
+        dt={"dt_max": 0.1, "t_ramp": 0.3},
+        diagnostics={"weights": {}, "rates": {}, "poincare": False},
+    )
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert json.loads((out / "weights.json").read_text())["gamma"] == -1.0
+    assert json.loads((out / "rate_fit.json").read_text())["R"] == 4.0
+    assert not (out / "lambda_curve.csv").exists()
+
+
 def test_diagnose_on_field_and_run(tmp_path):
     grid = make_grid(3, 8.0, 12)
     M = maxwellian(grid)
@@ -288,6 +305,25 @@ def test_rates_command_on_run(tmp_path):
     fit = json.loads((tmp_path / "fits" / "rate_fit_R2.json").read_text())
     assert "alpha_hat" in fit
     assert (tmp_path / "fits" / "history_R2.csv").exists()
+
+
+def test_rates_command_checks_every_radius_before_writing(tmp_path, capsys):
+    cfg = minimal_config(
+        grid={"dim": 3, "half_extent": 4.0, "points_per_axis": 12},
+        initial_profile={"kind": "squeezed_gaussian", "sigma": 0.3},
+        t_final=1.0,
+        dt={"t_ramp": 0.3, "dt_max": 0.1},
+    )
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(run_dir)]) == 0
+    fits = tmp_path / "fits"
+    capsys.readouterr()
+    # the default radii 2, 3, 4, 6 on an L = 4 run: R = 6 fails before R = 2, 3 and 4 are fitted
+    assert cli.main(["rates", str(run_dir), "--out", str(fits)]) == 1
+    assert not list(tmp_path.glob("fits/rate_fit_R*")) and not list(tmp_path.glob("fits/history_R*"))
+    assert "R=6 exceeds the domain half extent 4.0" in capsys.readouterr().err
+    assert cli.main(["rates", str(run_dir), "--R", "2,6,8", "--out", str(fits)]) == 1
+    assert "R=6, 8 exceed the domain half extent 4.0" in capsys.readouterr().err
 
 
 def test_load_trajectory_roundtrip(tmp_path, monkeypatch):

@@ -124,6 +124,44 @@ def test_fft_results_identical_for_any_worker_count(monkeypatch, rng):
         assert np.array_equal(one, two), kind
 
 
+@pytest.mark.parametrize("gamma", [-1.0, -3.0])
+@pytest.mark.parametrize("n", [16, 24])  # pads 32 and 48: 48 is even but no power of two
+def test_each_kind_of_a_block_equals_its_single_kind_call(gamma, n, rng):
+    # the kinds share the spectrum of f and the row buffer of the axis-0
+    # pass: no kind may read what the one before it left there
+    f = random_density(make_grid(3, 4.0, n), rng)
+    kinds = [k for k in ALL_KINDS if not (gamma == -3.0 and k == "h")]
+    single = {kind: co.fft_convolve(f, gamma, [kind])[0] for kind in kinds}
+    for order in (kinds, kinds[::-1]):  # D kinds after and before the A kinds
+        block = co.fft_convolve(f, gamma, order)
+        assert block.shape == (len(order),) + f.grid.shape
+        for row, kind in zip(block, order):
+            assert np.array_equal(row, single[kind]), (n, kind)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bundle_memory_in_fields(rng):
+    # the spectrum of f is the only buffer of the box's size; the bundle's
+    # fields are rows of one block, scaled in place, and a* runs a few
+    # planes at a time.  A field is one N^3 float64 array.
+    f = random_density(make_grid(3, 8.0, 32), rng)
+    field = f.values.nbytes
+    co.build_coefficients(f, -1.0)  # a warm plan
+    assert _traced_peak(lambda: co.build_coefficients(f, -1.0)) <= 26 * field
+    # gamma = 0 holds the 10-row block and a
+    assert _traced_peak(lambda: co.build_coefficients(f, 0.0)) <= 14 * field
+    bundle = co.build_coefficients(f, -1.0)
+    assert _traced_peak(lambda: bundle.a_star) <= 6 * field
+
+
 def test_cached_spectra_are_real_half_spectra(monkeypatch, maxwellian16):
     # a bundle stores one spectrum per axis-permutation class; the rest are transposed views
     for gamma, stored in ((-1.0, ["A00", "A01", "D0", "h"]), (-3.0, ["A00", "A01", "D0"])):
