@@ -32,12 +32,19 @@ from .grid import (
     write_field,
 )
 from .poincare import verify_eps_poincare
-from .rates import fit_decay, linf_history, moser_report
+from .rates import PREDICTED_EXPONENTS, fit_decay, linf_history, moser_report
 from .report import sha256_file, write_csv, write_json
 from .solver import LedgerRow, Trajectory, simulate
 from .weights import a1_constant, ap_constant, doubling_constant, morrey_ratio_family
 
 PROFILE_KINDS = ("maxwellian", "squeezed_gaussian", "counterexample", "shell", "file")
+#: each ``diagnostics`` entry and the defaults of the parameters its table may set
+DIAGNOSTIC_DEFAULTS = {
+    "weights": {"base_side": 2.0, "levels": 2},
+    "poincare": {"n_epsilons": 8},
+    "rates": {"R": 4.0, "theorem_id": "main_1"},
+    "moser": {"n_max": 6, "R": 4.0},
+}
 
 
 def _integer(value) -> int:
@@ -108,6 +115,7 @@ def parse_config(raw: dict) -> dict:
         )
     cfg["initial_profile"] = prof
     cfg["diagnostics"] = raw.get("diagnostics", {})
+    problems += _diagnostics_problems(cfg)
     if cfg["gamma"] is not None and cfg["dim"] is not None:
         if not -cfg["dim"] <= cfg["gamma"] <= 0:
             problems.append(f"field 'gamma' must lie in [-{cfg['dim']}, 0], got {cfg['gamma']}")
@@ -123,6 +131,65 @@ def parse_config(raw: dict) -> dict:
     if problems:
         raise ConfigError(problems)
     return cfg
+
+
+def _diagnostics_problems(cfg: dict) -> list[str]:
+    """
+    What is wrong with the ``diagnostics`` table of a parsed config, checked
+    with each parameter's default in place, so that no diagnostic fails
+    after the run: unknown entries and parameters, values of the wrong type,
+    n_epsilons < 4, n_max outside 0..8, a radius that is not finite and
+    > 0, or exceeds half_extent for the rate fit, an unknown
+    theorem id, and a cube family that does not tile the grid.
+    """
+    diags = cfg["diagnostics"]
+    if diags is None:
+        return []
+    if not isinstance(diags, dict):
+        return [f"field 'diagnostics' must be a table, got {diags!r}"]
+    problems = []
+    for key, value in diags.items():
+        path = f"diagnostics.{key}"
+        if key not in DIAGNOSTIC_DEFAULTS:
+            problems.append(f"unknown field {path!r}; the diagnostics are {', '.join(DIAGNOSTIC_DEFAULTS)}")
+            continue
+        if value is False:
+            continue
+        if not isinstance(value, (dict, bool)):
+            problems.append(f"field {path!r} must be a table or a boolean, got {value!r}")
+            continue
+        params = value if isinstance(value, dict) else {}
+        unknown = [name for name in params if name not in DIAGNOSTIC_DEFAULTS[key]]
+        problems += [f"unknown field '{path}.{name}'" for name in unknown]
+        args = {}
+        for name, default in DIAGNOSTIC_DEFAULTS[key].items():
+            caster = _integer if isinstance(default, int) else type(default)
+            try:
+                args[name] = caster(params.get(name, default))
+            except (TypeError, ValueError):
+                problems.append(f"field '{path}.{name}' has invalid value {params[name]!r}")
+        if "n_epsilons" in args and args["n_epsilons"] < 4:
+            problems.append(f"field '{path}.n_epsilons' must be >= 4, got {args['n_epsilons']}")
+        if "n_max" in args and not 0 <= args["n_max"] <= 8:
+            problems.append(f"field '{path}.n_max' must lie in 0..8, got {args['n_max']}")
+        if "theorem_id" in args and args["theorem_id"] not in PREDICTED_EXPONENTS:
+            problems.append(
+                f"field '{path}.theorem_id' must be one of {tuple(PREDICTED_EXPONENTS)}, got {args['theorem_id']!r}"
+            )
+        if "R" in args and not 0 < args["R"] < np.inf:
+            problems.append(f"field '{path}.R' must be finite and > 0, got {args['R']}")
+        elif key == "rates" and "R" in args and cfg["half_extent"] is not None and args["R"] > cfg["half_extent"]:
+            problems.append(f"field '{path}.R' = {args['R']} exceeds the domain half extent {cfg['half_extent']}")
+        if key == "weights" and ("base_side" in params or "levels" in params) and len(args) == 2:
+            try:
+                grid = make_grid(cfg["dim"], cfg["half_extent"], cfg["points_per_axis"])
+            except (LandauLabError, TypeError):
+                continue  # the grid fields report their own problems
+            try:
+                make_dyadic_cubes(grid, args["base_side"], args["levels"])
+            except (LandauLabError, ValueError, OverflowError) as exc:  # a nan or infinite base_side
+                problems.append(f"field {path!r}: {exc}")
+    return problems
 
 
 def load_config(path) -> dict:
@@ -228,16 +295,12 @@ def _run_toggled_diagnostics(traj: Trajectory, cfg: dict, out_dir):
     if "poincare" in diags:
         _diagnose_poincare(traj.final, traj.gamma, out_dir, params=diags["poincare"])
     if "rates" in diags:
-        params = diags["rates"]
-        fit = fit_decay(
-            traj,
-            float(params.get("R", 4.0)),
-            params.get("theorem_id", "main_1"),
-        )
+        params = {**DIAGNOSTIC_DEFAULTS["rates"], **diags["rates"]}
+        fit = fit_decay(traj, float(params["R"]), params["theorem_id"])
         write_json(os.path.join(out_dir, "rate_fit.json"), fit.to_dict())
     if "moser" in diags:
-        params = diags["moser"]
-        rep = moser_report(traj, int(params.get("n_max", 6)), float(params.get("R", 4.0)))
+        params = {**DIAGNOSTIC_DEFAULTS["moser"], **diags["moser"]}
+        rep = moser_report(traj, int(params["n_max"]), float(params["R"]))
         write_json(os.path.join(out_dir, "moser.json"), rep)
 
 
@@ -255,9 +318,8 @@ def default_cube_family(grid):
 def _diagnose_weights(f: ScalarField, gamma: float, out_dir, params=None):
     params = params if isinstance(params, dict) else {}
     if "base_side" in params or "levels" in params:
-        base = float(params.get("base_side", 2.0))
-        levels = int(params.get("levels", 2))
-        cubes = make_dyadic_cubes(f.grid, base, levels)
+        params = {**DIAGNOSTIC_DEFAULTS["weights"], **params}
+        cubes = make_dyadic_cubes(f.grid, float(params["base_side"]), int(params["levels"]))
     else:
         cubes = default_cube_family(f.grid)
     bundle = coeff.build_coefficients(f, gamma)
@@ -274,7 +336,7 @@ def _diagnose_weights(f: ScalarField, gamma: float, out_dir, params=None):
 
 def _diagnose_poincare(f: ScalarField, gamma: float, out_dir, params=None):
     params = params if isinstance(params, dict) else {}
-    n_eps = int(params.get("n_epsilons", 8))
+    n_eps = int(params.get("n_epsilons", DIAGNOSTIC_DEFAULTS["poincare"]["n_epsilons"]))
     eps = np.logspace(-3, 0, n_eps)
     rep = verify_eps_poincare(f, gamma, epsilons=eps)
     curve = rep["curve"]

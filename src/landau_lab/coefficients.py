@@ -47,7 +47,8 @@ Trans. Signal Process. 42, 1994).  No P^3 table and no complex spectrum is
 built.  The kernels are isotropic, so a plan stores one octant per
 axis-permutation class, A00, A01, D0 and h (and a when asked), and serves
 A11, A22, A02, A12, D1 and D2 as axis transposes of them, whose odd axes move
-with the transpose.  The four octants of an N=64 bundle take 8.4 MiB, and the
+with the transpose.  A bundle's build stores A00, A01 and h, and its first
+drift read adds D0.  The four octants of an N=64 run take 8.4 MiB, and the
 1 GiB budget first refuses a gamma < 0 bundle at N=322.  f fills [0, N)^3 of
 the box, so the forward transform runs only over its nonzero lines, and each
 inverse transform keeps only the N output lines it needs on every axis: the
@@ -224,10 +225,15 @@ def _pad(n: int) -> int:
     return 2 * sfft.next_fast_len(n)
 
 
-def _bundle_kinds(gamma: float) -> list[str]:
-    """The kernel kinds of one coefficient bundle: six A_ij, three D_i, and h unless gamma = -3."""
-    kinds = [f"A{i}{j}" for i, j in COMPONENT_PAIRS] + [f"D{i}" for i in range(3)]
-    return kinds if gamma == -3 else kinds + ["h"]
+#: the six kinds of the diffusion matrix A, in ``COMPONENT_PAIRS`` order
+_A_KINDS = [f"A{i}{j}" for i, j in COMPONENT_PAIRS]
+#: the three kinds of the drift b, read apart from the build
+_DRIFT_KINDS = [f"D{i}" for i in range(3)]
+
+
+def _built_kinds(gamma: float) -> list[str]:
+    """The kinds ``build_coefficients`` convolves: six A_ij, and h unless gamma = -3."""
+    return _A_KINDS if gamma == -3 else _A_KINDS + ["h"]
 
 
 #: kinds served as an axis transpose of their class representative's spectrum.
@@ -255,13 +261,16 @@ def _spectra_bytes(n: int, n_kinds: int) -> int:
 
 def plan_budget_problem(n: int, gamma: float, kinds=None) -> str | None:
     """
-    Why the spectra a plan stores to serve ``kinds`` (default: one bundle's)
-    on an N = n lattice would overflow the plan cache budget, or None if they
-    fit.  gamma = 0 builds no plan.
+    Why the spectra a plan stores to serve ``kinds`` (default: what a run
+    reads of one bundle, the built kinds and the drift) on an N = n lattice
+    would overflow the plan cache budget, or None if they fit.  gamma = 0
+    builds no plan.
     """
     if gamma == 0:
         return None
-    need = _spectra_bytes(n, len(_stored_kinds(_bundle_kinds(gamma) if kinds is None else kinds)))
+    if kinds is None:
+        kinds = _built_kinds(gamma) + _DRIFT_KINDS
+    need = _spectra_bytes(n, len(_stored_kinds(kinds)))
     if need <= _PLAN_BYTE_BUDGET:
         return None
     return (
@@ -617,11 +626,11 @@ def a_field(f: ScalarField, gamma: float) -> ScalarField:
 
 
 def matrix_field(f: ScalarField, gamma: float) -> MatrixField:
-    """Diffusion matrix A alone: the six A kinds of ``build_coefficients``, without h and the drift."""
+    """Diffusion matrix A alone: the six A kinds of ``build_coefficients``, without h."""
     g = _check_gamma(gamma)
     f.require_density("matrix_field input")
     consts = kernel_constants(g)
-    comps = fft_convolve(f, g, [f"A{i}{j}" for i, j in COMPONENT_PAIRS])
+    comps = fft_convolve(f, g, _A_KINDS)
     comps *= consts["C_A"]
     return MatrixField(f.grid, comps)
 
@@ -634,14 +643,18 @@ def a_star_field(A: MatrixField) -> ScalarField:
 
 @dataclass
 class CoefficientBundle:
-    """All coefficient fields of one (f, gamma) pair, built by one ``fft_convolve`` call."""
+    """
+    The coefficient fields of one (f, gamma) pair: h, a and A from one
+    ``fft_convolve`` call, a* and the drift on first read.  ``f`` must not
+    change before ``drift`` is read, since the drift is convolved from it
+    then; ``solver.step`` always returns a new field.
+    """
 
     gamma: float
     f: ScalarField
     h: ScalarField
     a: ScalarField
     A: MatrixField
-    drift: list[ScalarField]
 
     @property
     def grid(self) -> VelocityGrid:
@@ -652,23 +665,32 @@ class CoefficientBundle:
         """Smallest eigenvalue of A per node, computed on first read (the stepper never reads it)."""
         return a_star_field(self.A)
 
+    @functools.cached_property
+    def drift(self) -> list[ScalarField]:
+        """
+        The drift b = div A, convolved on first read: only the stepper reads
+        it, and the weight and coercivity measures never do.  One more
+        forward transform for gamma < 0, one more moment pass at gamma = 0.
+        """
+        convs = fft_convolve(self.f, self.gamma, _DRIFT_KINDS)
+        convs *= kernel_constants(self.gamma)["c_drift"]
+        return [ScalarField(self.grid, c) for c in convs]
+
 
 def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     """
-    Compute h, a, A and the drift for one density from one
-    ``fft_convolve`` call: one forward FFT for gamma < 0, the moments of f at
-    gamma = 0.  The fields are rows of its block, scaled in place: A rows
-    0-5, the drift rows 6-8, h the last row.  a* follows on first read.
+    Compute h, a and A for one density from one ``fft_convolve`` call: one
+    forward FFT for gamma < 0, the moments of f at gamma = 0.  The fields
+    are rows of its block, scaled in place: A rows 0-5, h the last row.
+    a* and the drift follow on first read.
     """
     g = _check_gamma(gamma)
     f.require_density("density")
     consts = kernel_constants(g)
-    convs = fft_convolve(f, g, _bundle_kinds(g))
+    convs = fft_convolve(f, g, _built_kinds(g))
     nA = len(COMPONENT_PAIRS)
     convs[:nA] *= consts["C_A"]
     A = MatrixField(f.grid, convs[:nA])
-    convs[nA : nA + f.grid.dim] *= consts["c_drift"]
-    drift = [ScalarField(f.grid, c) for c in convs[nA : nA + f.grid.dim]]
     if g == -3:
         h = f.copy()
     else:
@@ -676,7 +698,7 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
         h = ScalarField(f.grid, convs[-1])
     _require_finite(A)
     a = ScalarField(f.grid, A.trace())
-    return CoefficientBundle(g, f, h, a, A, drift)
+    return CoefficientBundle(g, f, h, a, A)
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:

@@ -148,19 +148,28 @@ def _top_eigenvalue(
         j += 1
 
 
+def _positive_epsilons(epsilons) -> list[float]:
+    """The epsilons in increasing order, each checked to be finite and > 0."""
+    epsilons = sorted(float(e) for e in epsilons)
+    bad = [e for e in epsilons if not 0 < e < math.inf]
+    if bad:
+        raise ValueError(f"every epsilon must be finite and > 0, got {', '.join(map(repr, bad))}")
+    return epsilons
+
+
 def lambda_curve(
     bundle: CoefficientBundle,
     epsilons,
     mass_weight: np.ndarray | None = None,
 ) -> LambdaCurve:
     """
-    Evaluate the functional of the bundle on a grid of epsilons, with the
-    mass weight on the right-hand side if one is given.  The operator is
-    assembled once per curve, and each epsilon starts from the eigenvector
-    of the one before.  A zero bundle gives the zero curve: the first
-    Lanczos step meets a zero residual.
+    Evaluate the functional of the bundle on a grid of epsilons, each finite
+    and > 0, with the mass weight on the right-hand side if one is given.
+    The operator is assembled once per curve, and each epsilon starts from
+    the eigenvector of the one before.  A zero bundle gives the zero curve:
+    the first Lanczos step meets a zero residual.
     """
-    epsilons = sorted(float(e) for e in epsilons)
+    epsilons = _positive_epsilons(epsilons)
     if mass_weight is None:
         mass_weight = np.ones(bundle.grid.shape)
     S = diffusion_matrix(bundle.A, bc="dirichlet")
@@ -198,6 +207,7 @@ def verify_eps_poincare(f: ScalarField, gamma: float, epsilons=None) -> dict:
         epsilons = np.logspace(-3, 0, 8)
     if len(epsilons) < 4:
         raise ValueError("need at least 4 epsilon samples")
+    _positive_epsilons(epsilons)  # before any assembly
     bundle = build_coefficients(f, gamma)
     curve = lambda_curve(bundle, epsilons=epsilons)
     bracket = (1.0 + f.grid.radius_squared()) ** (gamma / 2.0)

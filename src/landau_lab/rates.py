@@ -211,9 +211,13 @@ def moser_report(traj: Trajectory, n_max: int, R: float) -> dict:
     T = traj.times[-1]
     sched = moser_schedule(n_max, T, R)
     vol = traj.grid.spacing**d
-    astars = {}
-    for t, s in zip(traj.times, traj.snapshots):
-        astars[t] = a_star_field(matrix_field(s, traj.gamma)).values
+    # every E_n integrates only t >= T_n >= T_0, so earlier snapshots need no a*
+    t_first = min((entry["T_n"] for entry in sched), default=math.inf) - 1e-12
+    astars = {
+        t: a_star_field(matrix_field(s, traj.gamma)).values
+        for t, s in zip(traj.times, traj.snapshots)
+        if t >= t_first
+    }
     rows = []
     cut_consts = []
     for entry in sched:

@@ -232,6 +232,53 @@ def test_simulate_runs_diagnostics_given_as_empty_tables(tmp_path):
     assert not (out / "lambda_curve.csv").exists()
 
 
+def test_parse_config_checks_the_diagnostics():
+    grid = {"dim": 3, "half_extent": 4.0, "points_per_axis": 8}
+    bad = {
+        "wieghts": {},
+        "poincare": {"n_epsilons": 2, "n_eps": 8},
+        "moser": {"n_max": 9},
+        "rates": {"R": 9.0, "theorem_id": "main_2"},
+    }
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(minimal_config(grid=grid, diagnostics=bad))
+    problems = err.value.problems
+    assert len(problems) == 6, problems
+    assert any("'diagnostics.wieghts'" in p and "unknown" in p for p in problems)
+    assert any("'diagnostics.poincare.n_eps'" in p and "unknown" in p for p in problems)
+    assert any("'diagnostics.poincare.n_epsilons'" in p and ">= 4" in p for p in problems)
+    assert any("'diagnostics.moser.n_max'" in p and "0..8" in p for p in problems)
+    assert any("'diagnostics.rates.R'" in p and "half extent 4.0" in p for p in problems)
+    assert any("'diagnostics.rates.theorem_id'" in p and "main_2" in p for p in problems)
+    # the defaults are checked too: the rate fit's R = 4 does not fit an L = 2 box
+    small = {"dim": 3, "half_extent": 2.0, "points_per_axis": 8}
+    with pytest.raises(ConfigError, match="rates.R' = 4.0 exceeds"):
+        cli.parse_config(minimal_config(grid=small, diagnostics={"rates": {}}))
+    for value, match in (
+        ({"weights": 1}, "a table or a boolean"),
+        ({"weights": {"base_side": 3.0}}, "diagnostics.weights"),
+        ({"moser": {"n_max": 2.5}}, "invalid value 2.5"),
+        ({"moser": {"R": float("inf")}}, "must be finite and > 0"),
+        ([], "'diagnostics' must be a table"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            cli.parse_config(minimal_config(grid=grid, diagnostics=value))
+    ok = {"weights": {"base_side": 4.0, "levels": 1}, "poincare": False, "rates": {"R": 4.0}, "moser": True}
+    assert cli.parse_config(minimal_config(grid=grid, diagnostics=ok))["diagnostics"] == ok
+
+
+@pytest.mark.parametrize(
+    "diagnostics",
+    [{"poincare": {"n_epsilons": 2}}, {"moser": {"n_max": 9}}, {"rates": {"R": 9.0}}, {"wieghts": {}}],
+)
+def test_simulate_refuses_bad_diagnostics_before_the_run(tmp_path, capsys, diagnostics):
+    cfg = minimal_config(grid={"dim": 3, "half_extent": 4.0, "points_per_axis": 8}, diagnostics=diagnostics)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "diagnostics." in capsys.readouterr().err
+
+
 def test_diagnose_on_field_and_run(tmp_path):
     grid = make_grid(3, 8.0, 12)
     M = maxwellian(grid)

@@ -150,25 +150,32 @@ def _traced_peak(fn) -> int:
 
 def test_bundle_memory_in_fields(rng):
     # the spectrum of f is the only buffer of the box's size; the bundle's
-    # fields are rows of one block, scaled in place, and a* runs a few
-    # planes at a time.  A field is one N^3 float64 array.
+    # fields are rows of one 7-row block (A and h, no drift), scaled in
+    # place, and a* runs a few planes at a time.  A field is one N^3
+    # float64 array.  The spectrum of f takes 8.25 of them at N=32 (P=64).
     f = random_density(make_grid(3, 8.0, 32), rng)
     field = f.values.nbytes
-    co.build_coefficients(f, -1.0)  # a warm plan
-    assert _traced_peak(lambda: co.build_coefficients(f, -1.0)) <= 26 * field
-    # gamma = 0 holds the 10-row block and a
-    assert _traced_peak(lambda: co.build_coefficients(f, 0.0)) <= 14 * field
+    co.build_coefficients(f, -1.0).drift  # a warm plan, D0 included
+    assert _traced_peak(lambda: co.build_coefficients(f, -1.0)) <= 22 * field  # 21.4
+    # gamma = 0 holds the 7-row block and a
+    assert _traced_peak(lambda: co.build_coefficients(f, 0.0)) <= 9 * field  # 8.0
     bundle = co.build_coefficients(f, -1.0)
     assert _traced_peak(lambda: bundle.a_star) <= 6 * field
+    assert _traced_peak(lambda: bundle.drift) <= 23 * field  # 21.6: a second spectrum of f
 
 
 def test_cached_spectra_are_real_half_spectra(monkeypatch, maxwellian16):
-    # a bundle stores one spectrum per axis-permutation class; the rest are transposed views
-    for gamma, stored in ((-1.0, ["A00", "A01", "D0", "h"]), (-3.0, ["A00", "A01", "D0"])):
+    # a bundle stores one spectrum per axis-permutation class; the rest are
+    # transposed views.  The build stores no drift class: the first drift read adds D0
+    for gamma, built in ((-1.0, ["A00", "A01", "h"]), (-3.0, ["A00", "A01"])):
         monkeypatch.setattr(co, "_plan_cache", OrderedDict())
-        co.build_coefficients(maxwellian16, gamma)
+        bundle = co.build_coefficients(maxwellian16, gamma)
         (plan,) = co._plan_cache.values()
         m = plan.pad // 2 + 1
+        assert sorted(plan.kernel_ffts) == built
+        bundle.drift
+        assert list(co._plan_cache.values()) == [plan]
+        stored = sorted(built + ["D0"])
         assert sorted(plan.kernel_ffts) == stored
         assert plan.nbytes() == len(stored) * m**3 * 8
         for kind, spec in plan.kernel_ffts.items():
@@ -183,9 +190,46 @@ def test_matrix_field_stores_only_the_a_representatives(monkeypatch, maxwellian1
     co.matrix_field(maxwellian16, -1.0)
     (plan,) = co._plan_cache.values()
     assert sorted(plan.kernel_ffts) == ["A00", "A01"]
-    co.build_coefficients(maxwellian16, -1.0)
+    bundle = co.build_coefficients(maxwellian16, -1.0)
+    assert list(co._plan_cache.values()) == [plan]
+    assert sorted(plan.kernel_ffts) == ["A00", "A01", "h"]
+    bundle.drift
     assert list(co._plan_cache.values()) == [plan]
     assert sorted(plan.kernel_ffts) == ["A00", "A01", "D0", "h"]
+
+
+def _recording_convolve(monkeypatch) -> list[list[str]]:
+    """The kinds of every ``fft_convolve`` call from here on, in call order."""
+    calls = []
+    real = co.fft_convolve
+
+    def recording(f, gamma, kinds):
+        calls.append(list(kinds))
+        return real(f, gamma, kinds)
+
+    monkeypatch.setattr(co, "fft_convolve", recording)
+    return calls
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, -3.0])
+def test_drift_is_convolved_on_first_read_only(gamma, monkeypatch, rng):
+    f = random_density(make_grid(3, 4.0, 16), rng)
+    # one block of all the bundle's kinds: A rows 0-5, the drift rows 6-8, then h
+    full = co.fft_convolve(f, gamma, co._A_KINDS + co._DRIFT_KINDS + ([] if gamma == -3 else ["h"]))
+    calls = _recording_convolve(monkeypatch)
+    bundle = co.build_coefficients(f, gamma)
+    assert calls == [co._built_kinds(gamma)]
+    assert not any(kind.startswith("D") for kind in calls[0])
+    drift = bundle.drift
+    assert calls[1:] == [["D0", "D1", "D2"]]
+    assert bundle.drift is drift  # a second read convolves nothing
+    assert len(calls) == 2
+    c_drift = co.kernel_constants(gamma)["c_drift"]
+    nA = len(co.COMPONENT_PAIRS)
+    for i, b in enumerate(drift):
+        assert b.values.tobytes() == (full[nA + i] * c_drift).tobytes(), i
+    A = full[:nA] * co.kernel_constants(gamma)["C_A"]
+    assert bundle.A.comps.tobytes() == A.tobytes()
 
 
 # axes in which each wrapped kernel table is odd; the rest are even

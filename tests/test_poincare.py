@@ -57,6 +57,21 @@ def test_lambda_of_zero_density(grid12):
     assert curve.iterations == [2, 2]
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+def test_non_positive_epsilon_is_refused_before_any_assembly(bad, bundle12, monkeypatch):
+    f = maxwellian(make_grid(3, 4.0, 8))
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the epsilons were checked")
+
+    monkeypatch.setattr(poincare, "build_coefficients", no_assembly)
+    monkeypatch.setattr(poincare, "diffusion_matrix", no_assembly)
+    with pytest.raises(ValueError, match=f"epsilon must be finite and > 0, got {bad!r}"):
+        verify_eps_poincare(f, -1.0, epsilons=[bad, 0.01, 0.1, 1.0])
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        lambda_curve(bundle12, [0.5, bad])
+
+
 def test_lambda_monotone_in_epsilon(bundle12, monkeypatch):
     monkeypatch.setattr(poincare, "LANCZOS_TOL", 1e-8)
     curve = lambda_curve(bundle12, epsilons=[1e-3, 1e-2, 1e-1, 1.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from landau_lab import rates
 from landau_lab.errors import GridError
 from landau_lab.grid import ScalarField, make_grid, squeezed_gaussian
 from landau_lab.rates import (
@@ -92,9 +93,26 @@ def test_moser_schedule_values():
         moser_schedule(9, 1.0, 4.0)
 
 
-def test_moser_report_monotone_cutoffs(grid16):
-    f0 = squeezed_gaussian(grid16, 0.6, 0.5)
-    traj = simulate(f0, -1.0, 0.6, snapshot_stride=2, dt_max=0.1)
+@pytest.fixture(scope="module")
+def soft_traj(grid16):
+    return simulate(squeezed_gaussian(grid16, 0.6, 0.5), -1.0, 0.6, snapshot_stride=2, dt_max=0.1)
+
+
+def test_moser_report_convolves_only_the_window(soft_traj, monkeypatch):
+    # every E_n integrates t >= T_n >= T_0 = T/4: no earlier snapshot needs its a*
+    calls = []
+    real = rates.matrix_field
+    monkeypatch.setattr(rates, "matrix_field", lambda f, gamma: calls.append(f) or real(f, gamma))
+    rep = moser_report(soft_traj, 3, 3.0)
+    T = soft_traj.times[-1]
+    window = [s for t, s in zip(soft_traj.times, soft_traj.snapshots) if t >= T / 4 - 1e-12]
+    assert len(window) < len(soft_traj.snapshots)
+    assert [id(f) for f in calls] == [id(s) for s in window]
+    assert all(np.isfinite(r["E_n"]) and r["E_n"] > 0 for r in rep["rows"])
+
+
+def test_moser_report_monotone_cutoffs(soft_traj):
+    traj = soft_traj
     rep_small = moser_report(traj, 3, 3.0)
     rep_big = moser_report(traj, 3, 5.0)
     for row_s, row_b in zip(rep_small["rows"], rep_big["rows"]):
