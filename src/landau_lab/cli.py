@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -32,7 +33,7 @@ from .grid import (
     write_field,
 )
 from .poincare import verify_eps_poincare
-from .rates import PREDICTED_EXPONENTS, fit_decay, linf_history, moser_report
+from .rates import PREDICTED_EXPONENTS, fit_decay, fit_radii, moser_report
 from .report import sha256_file, write_csv, write_json
 from .solver import LedgerRow, Trajectory, simulate
 from .weights import a1_constant, ap_constant, doubling_constant, morrey_ratio_family
@@ -382,7 +383,6 @@ def _diagnose_coefficients(f: ScalarField, gamma: float, out_dir):
 
 
 def cmd_diagnose(target, which: str, out_dir, gamma: float | None = None) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
     if os.path.isdir(target):
         traj = load_trajectory(target)
         f, g = traj.final, traj.gamma
@@ -391,6 +391,7 @@ def cmd_diagnose(target, which: str, out_dir, gamma: float | None = None) -> dic
         if gamma is None:
             raise ConfigError(["field snapshots need an explicit --gamma"])
         g = gamma
+    os.makedirs(out_dir, exist_ok=True)  # after the target loaded, so a bad one leaves no directory
     if which == "weights":
         return _diagnose_weights(f, g, out_dir)
     if which == "poincare":
@@ -401,22 +402,28 @@ def cmd_diagnose(target, which: str, out_dir, gamma: float | None = None) -> dic
 
 
 def cmd_rates(run_dir, theorem_id: str, R_list, out_dir) -> list:
+    if not R_list:
+        raise ConfigError(["no ball radius given; rate fits need at least one"])
     traj = load_trajectory(run_dir)
     if len(traj.snapshots) < 6:
         raise ConfigError([f"run has {len(traj.snapshots)} snapshots; rate fits need >= 6"])
     # every radius is checked before any fit is written, so a bad list leaves no partial output
-    too_large = [R for R in R_list if R > traj.grid.half_extent]
+    half = traj.grid.half_extent
+    not_positive = [R for R in R_list if not 0 < R < math.inf]
+    too_large = [R for R in R_list if half < R < math.inf]
+    problems = []
+    if not_positive:
+        problems.append(f"R={', '.join(f'{R:g}' for R in not_positive)} must be finite and > 0")
     if too_large:
         verb = "exceeds" if len(too_large) == 1 else "exceed"
-        raise GridError(
-            f"R={', '.join(f'{R:g}' for R in too_large)} {verb} the domain half extent {traj.grid.half_extent}"
-        )
+        problems.append(f"R={', '.join(f'{R:g}' for R in too_large)} {verb} the domain half extent {half}")
+    if problems:
+        raise GridError("; ".join(problems))
     os.makedirs(out_dir, exist_ok=True)
     fits = []
-    for R in R_list:
-        fit = fit_decay(traj, R, theorem_id, R_sweep=tuple(R_list))
+    for fit, times, sups in fit_radii(traj, theorem_id, R_list):
+        R = fit.R
         write_json(os.path.join(out_dir, f"rate_fit_R{R:g}.json"), fit.to_dict())
-        times, sups = linf_history(traj, R)
         fitted = fit.amplitude * (1.0 + 1.0 / np.maximum(times, 1e-12)) ** fit.alpha_hat
         write_csv(
             os.path.join(out_dir, f"history_R{R:g}.csv"),
@@ -451,6 +458,14 @@ def cmd_verify(suite: str, out_dir=None) -> int:
             {"suite": suite, "gates": [r.timing() for r in results]},
         )
     return 0 if n_fail == 0 else 1
+
+
+def _radii(text: str) -> list[float]:
+    """The ball radii of a comma-separated ``--R`` list; blank items are skipped."""
+    try:
+        return [float(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise ConfigError([f"--R must be comma-separated numbers, got {text!r}"]) from None
 
 
 def main(argv=None) -> int:
@@ -507,8 +522,7 @@ def main(argv=None) -> int:
             print(f"reports written to {args.out}")
             return 0
         if args.command == "rates":
-            R_list = [float(x) for x in args.R.split(",") if x]
-            fits = cmd_rates(args.run_dir, args.theorem, R_list, args.out)
+            fits = cmd_rates(args.run_dir, args.theorem, _radii(args.R), args.out)
             for fit in fits:
                 print(
                     f"R={fit.R:g}: alpha_hat={fit.alpha_hat:.3f} "
@@ -522,6 +536,10 @@ def main(argv=None) -> int:
         return 2
     except LandauLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a missing or unreadable input, an unwritable output
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
     return 0
 

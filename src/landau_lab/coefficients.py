@@ -47,9 +47,10 @@ Trans. Signal Process. 42, 1994).  No P^3 table and no complex spectrum is
 built.  The kernels are isotropic, so a plan stores one octant per
 axis-permutation class, A00, A01, D0 and h (and a when asked), and serves
 A11, A22, A02, A12, D1 and D2 as axis transposes of them, whose odd axes move
-with the transpose.  A bundle's build stores A00, A01 and h, and its first
-drift read adds D0.  The four octants of an N=64 run take 8.4 MiB, and the
-1 GiB budget first refuses a gamma < 0 bundle at N=322.  f fills [0, N)^3 of
+with the transpose.  A bundle's build stores A00, A01 and h, and the time
+stepper's build, or any bundle's first drift read, adds D0.  The four
+octants of an N=64 run take 8.4 MiB, and the 1 GiB budget first refuses a
+gamma < 0 bundle at N=322.  f fills [0, N)^3 of
 the box, so the forward transform runs only over its nonzero lines, and each
 inverse transform keeps only the N output lines it needs on every axis: the
 result is [0, N)^3.  The spectrum of f is the only buffer of the box's size.
@@ -388,16 +389,20 @@ def _moment_convolve(f: ScalarField, kinds: list[str]) -> np.ndarray:
     M = {(i, i): float(np.einsum("i,i,i->", marg[i], y[i], y[i])) for i in range(3)}
     M.update({(i, j): float(np.einsum("ij,i,j->", m, y[i], y[j])) for (i, j), m in marg2.items()})
     x = [c - uk for c, uk in zip(grid.coords(), u)]  # broadcastable v - u
-    G = {(i, j): m0 * x[i] * x[j] - x[i] * P[j] - x[j] * P[i] + M[i, j] for i, j in COMPONENT_PAIRS}
+
+    @functools.cache
+    def G(i, j):  # built only for the kinds asked for: a drift block needs none
+        return m0 * x[i] * x[j] - x[i] * P[j] - x[j] * P[i] + M[i, j]
+
     out = np.empty((len(kinds),) + grid.shape)
     for row, kind in zip(out, kinds):
         if kind == "h":
             val = m0
         elif kind == "a":
-            val = G[0, 0] + G[1, 1] + G[2, 2]
+            val = G(0, 0) + G(1, 1) + G(2, 2)
         elif kind.startswith("A"):
             i, j = sorted((int(kind[1]), int(kind[2])))
-            val = sum(G[k, k] for k in range(3) if k != i) if i == j else -G[i, j]
+            val = sum(G(k, k) for k in range(3) if k != i) if i == j else -G(i, j)
         elif kind.startswith("D"):
             i = int(kind[1])
             val = m0 * x[i] - P[i]
@@ -645,9 +650,10 @@ def a_star_field(A: MatrixField) -> ScalarField:
 class CoefficientBundle:
     """
     The coefficient fields of one (f, gamma) pair: h, a and A from one
-    ``fft_convolve`` call, a* and the drift on first read.  ``f`` must not
-    change before ``drift`` is read, since the drift is convolved from it
-    then; ``solver.step`` always returns a new field.
+    ``fft_convolve`` call, a* on first read.  The time stepper's bundle
+    convolves the drift in that same call; any other bundle convolves it on
+    first read, so ``f`` must not change before ``drift`` is read there
+    (``solver.step`` always returns a new field).
     """
 
     gamma: float
@@ -668,9 +674,9 @@ class CoefficientBundle:
     @functools.cached_property
     def drift(self) -> list[ScalarField]:
         """
-        The drift b = div A, convolved on first read: only the stepper reads
-        it, and the weight and coercivity measures never do.  One more
-        forward transform for gamma < 0, one more moment pass at gamma = 0.
+        The drift b = div A, convolved on first read unless the bundle was
+        built with it: the weight and coercivity measures never read it.  One
+        more forward transform for gamma < 0, one more moment pass at gamma = 0.
         """
         convs = fft_convolve(self.f, self.gamma, _DRIFT_KINDS)
         convs *= kernel_constants(self.gamma)["c_drift"]
@@ -681,24 +687,41 @@ def build_coefficients(f: ScalarField, gamma: float) -> CoefficientBundle:
     """
     Compute h, a and A for one density from one ``fft_convolve`` call: one
     forward FFT for gamma < 0, the moments of f at gamma = 0.  The fields
-    are rows of its block, scaled in place: A rows 0-5, h the last row.
+    are rows of its block, scaled in place: A rows 0-5, h the next row.
     a* and the drift follow on first read.
+    """
+    return _build_bundle(f, gamma, drift=False)
+
+
+def _build_bundle(f: ScalarField, gamma: float, drift: bool) -> CoefficientBundle:
+    """
+    The bundle of one density from one ``fft_convolve`` block, each row
+    scaled in place: A rows 0-5, h the next row unless gamma = -3, then, if
+    ``drift``, the drift D0-D2, which the bundle then holds as its ``drift``.
+    Convolved with the rest, the drift costs the time stepper no second
+    forward transform or moment pass; its rows equal the lazy read's.
     """
     g = _check_gamma(gamma)
     f.require_density("density")
     consts = kernel_constants(g)
-    convs = fft_convolve(f, g, _built_kinds(g))
+    kinds = _built_kinds(g)
+    convs = fft_convolve(f, g, kinds + _DRIFT_KINDS if drift else kinds)
     nA = len(COMPONENT_PAIRS)
     convs[:nA] *= consts["C_A"]
     A = MatrixField(f.grid, convs[:nA])
     if g == -3:
         h = f.copy()
     else:
-        convs[-1] *= consts["c_h"]
-        h = ScalarField(f.grid, convs[-1])
+        convs[nA] *= consts["c_h"]
+        h = ScalarField(f.grid, convs[nA])
     _require_finite(A)
     a = ScalarField(f.grid, A.trace())
-    return CoefficientBundle(g, f, h, a, A)
+    bundle = CoefficientBundle(g, f, h, a, A)
+    if drift:
+        rows = convs[len(kinds) :]
+        rows *= consts["c_drift"]
+        bundle.drift = [ScalarField(f.grid, b) for b in rows]  # fills the cached property
+    return bundle
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:

@@ -115,20 +115,18 @@ def drift_divergence(f: np.ndarray, drift: list[np.ndarray], spacing: float) -> 
     steep tails from ringing; the drift is always the arithmetic face mean.
     """
     out = np.zeros_like(f)
+    fpos = np.maximum(f, 0.0)
     d = f.ndim
     for ax in range(d):
         lo = [slice(None)] * d
         hi = [slice(None)] * d
         lo[ax] = slice(0, -1)
         hi[ax] = slice(1, None)
-        fface = np.sqrt(np.maximum(f[tuple(lo)], 0.0) * np.maximum(f[tuple(hi)], 0.0))
+        fface = np.sqrt(fpos[tuple(lo)] * fpos[tuple(hi)])
         flux = fface * 0.5 * (drift[ax][tuple(lo)] + drift[ax][tuple(hi)])
-        up = [slice(None)] * d
-        dn = [slice(None)] * d
-        up[ax] = slice(1, None)
-        dn[ax] = slice(0, -1)
-        out[tuple(dn)] += flux / spacing
-        out[tuple(up)] -= flux / spacing
+        flux /= spacing
+        out[tuple(lo)] += flux
+        out[tuple(hi)] -= flux
     return out
 
 
@@ -169,11 +167,19 @@ def diffusion_matrix(A: MatrixField, bc: str = "flux", cell_weight: np.ndarray |
     far node.  A node therefore couples to itself, to its neighbours at
     +-e_i and to those at +-(e_i - e_j): 1 + d + d^2 diagonals, each a sum of
     cell-averaged components read at shifted cells.  Couplings that leave
-    the lattice (Dirichlet ghost layer included) are stored as zeros.  The
-    cell averages accumulate in place inside a zero layer, and every weight
-    is written straight into its row of the diagonal data and mirrored into
-    the row of the opposite offset: besides the data, the assembly holds one
-    cell array and a few node arrays of temporaries.
+    the lattice (Dirichlet ghost layer included) are stored as zeros.
+
+    Every sum of shifted views, the 8-corner cell average and the centre,
+    axis and cross weights read from the cell array, is one contiguous pass
+    over the flattened array: in a C-ordered block of side m a shift s is
+    the flat offset s0 m^2 + s1 m + s2, so the sum adds flat slices that
+    reach the last wanted node, and the positions that wrap across a row
+    are never copied out.  The operands and their order are those of the
+    3-D views, so the entries are the same to the bit.  The cell averages
+    are copied into a zero layer once, and every weight is written straight
+    into its row of the diagonal data and mirrored into the row of the
+    opposite offset: besides the data, the assembly holds one cell array
+    and a few node arrays of temporaries.
     """
     if bc not in ("flux", "dirichlet"):
         raise ValueError(f"unknown boundary treatment {bc!r}")
@@ -186,16 +192,19 @@ def diffusion_matrix(A: MatrixField, bc: str = "flux", cell_weight: np.ndarray |
     # cell averages inside a zero layer: node p reads cell p + s, s in {-1, 0}^d
     cells = np.zeros((comps.shape[0],) + (m + 1,) * d)
     inner = cells[(slice(None),) + (slice(1, -1),) * d]
-    for corner in itertools.product((0, 1), repeat=d):
-        inner += comps[(slice(None),) + tuple(slice(o, m - 1 + o) for o in corner)]
-    inner /= 2.0**d
+    corners = _flat_sum(comps, itertools.product((0, 1), repeat=d), m - 1)
+    np.divide(corners, 2.0**d, out=inner)
+    del corners, comps  # the accumulator, and the edge-extended copy of a Dirichlet A
     if cell_weight is not None:
         inner *= cell_weight
     core = 1 if bc == "dirichlet" else 0
+    side = m + 1  # of the cell array
+    flat = cells.reshape(cells.shape[0], -1)
+    span = _span(n, side)
 
-    def at(i, j, shift):  # a_ij of cell p + shift, on every node p
-        comp = cells[COMPONENT_ROW[i, j]]
-        return comp[tuple(slice(s + 1 + core, s + 1 + m - core) for s in shift)]
+    def at(i, j, shift):  # a_ij of cell p + shift, on every node p, at flat position p
+        start = _flat_offset([s + 1 + core for s in shift], side)
+        return flat[COMPONENT_ROW[i, j], start : start + span]
 
     zero, down = (0,) * d, (-1,) * d
     unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
@@ -203,8 +212,7 @@ def diffusion_matrix(A: MatrixField, bc: str = "flux", cell_weight: np.ndarray |
     far = [tuple(e - 1 for e in u) for u in unit]  # p + e_i - 1
     pairs = [(i, j) for j in range(d) for i in range(j)]
     cross = [tuple(a - b for a, b in zip(unit[i], unit[j])) for i, j in pairs]  # e_i - e_j
-    strides = [n ** (d - 1 - ax) for ax in range(d)]
-    steps = {o: int(np.dot(o, strides)) for off in [zero] + unit + cross for o in (off, _negated(off))}
+    steps = {o: _flat_offset(o, n) for off in [zero] + unit + cross for o in (off, _negated(off))}
     offsets = sorted(steps, key=steps.get)  # column minus row; a product then sums each row in column order
     size = grid.n_nodes
     data = np.zeros((len(offsets), size))
@@ -215,14 +223,14 @@ def diffusion_matrix(A: MatrixField, bc: str = "flux", cell_weight: np.ndarray |
     scale = -0.5 / h**2
     centre = sum(at(i, j, zero) + at(i, j, down) for i in range(d) for j in range(d))
     centre += sum(at(i, i, back[i]) + at(i, i, far[i]) for i in range(d))
-    np.multiply(scale, centre, out=row[zero])
+    np.multiply(scale, _nodes(centre, n, side), out=row[zero])
     weight = {}
     for j in range(d):
         w = weight[unit[j]] = row[back[j]]
-        np.multiply(-scale, sum(at(i, j, zero) + at(i, j, far[j]) for i in range(d)), out=w)
+        np.multiply(-scale, _nodes(sum(at(i, j, zero) + at(i, j, far[j]) for i in range(d)), n, side), out=w)
     for (i, j), off in zip(pairs, cross):
         w = weight[off] = row[_negated(off)]
-        np.multiply(scale, at(i, j, back[j]) + at(i, j, far[i]), out=w)
+        np.multiply(scale, _nodes(at(i, j, back[j]) + at(i, j, far[i]), n, side), out=w)
     for off, w in weight.items():
         # no coupling leaves the lattice; the matrix is symmetric
         for ax, o in enumerate(off):
@@ -235,6 +243,44 @@ def diffusion_matrix(A: MatrixField, bc: str = "flux", cell_weight: np.ndarray |
 
 def _negated(off: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-o for o in off)
+
+
+def _flat_offset(shift, m: int) -> int:
+    """Flat index of node ``shift`` in a C-ordered block of side m."""
+    return sum(s * m ** (len(shift) - 1 - ax) for ax, s in enumerate(shift))
+
+
+def _span(n: int, m: int) -> int:
+    """Flat length from node 0 through node (n-1, n-1, n-1) of a C-ordered block of side m."""
+    return _flat_offset((n - 1,) * 3, m) + 1
+
+
+def _nodes(flat: np.ndarray, n: int, m: int) -> np.ndarray:
+    """
+    The (n, n, n) nodes of a flat pass over a C-ordered block of side m,
+    as a read-only view of its last axis; the positions a row wraps into
+    lie between them and are never read.
+    """
+    item = flat.strides[-1]
+    shape, strides = flat.shape[:-1] + (n,) * 3, flat.strides[:-1] + (m * m * item, m * item, item)
+    return np.lib.stride_tricks.as_strided(flat, shape, strides, writeable=False)
+
+
+def _flat_sum(block: np.ndarray, shifts, n: int) -> np.ndarray:
+    """
+    The sum, in ``shifts`` order, of the views block[..., s0:s0+n, s1:s1+n,
+    s2:s2+n] over the shifts (s0, s1, s2) of the last three axes, as an
+    (..., n, n, n) view.  Each view is one contiguous slice of the flattened
+    block, so the sum runs over one flat accumulator of ``_span`` entries.
+    """
+    m = block.shape[-1]
+    flat = block.reshape(block.shape[:-3] + (-1,))
+    span = _span(n, m)
+    acc = np.zeros(flat.shape[:-1] + (span,))
+    for shift in shifts:
+        start = _flat_offset(shift, m)
+        acc += flat[..., start : start + span]
+    return _nodes(acc, n, m)
 
 
 def krylov_matrix(S: sparse.dia_matrix, c: np.ndarray, s: float, w: np.ndarray, dtype=np.float64) -> sparse.dia_matrix:

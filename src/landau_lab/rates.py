@@ -9,6 +9,7 @@ interpolation, so histories are deterministic and comparable across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,12 +56,19 @@ class RateFit:
 
 def linf_history(traj: Trajectory, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid maximum of f over the ball of radius R at every snapshot time."""
+    nodes = _ball_nodes(traj, R)
+    times = np.array(traj.times)
+    sups = np.array([float(s.values.take(nodes).max()) for s in traj.snapshots])
+    return times, sups
+
+
+def _ball_nodes(traj: Trajectory, R: float) -> np.ndarray:
+    """Flat indices of the nodes in the ball of radius R, a finite R in (0, half extent]."""
+    if not 0 < R < math.inf:
+        raise GridError(f"R={R} must be finite and > 0")
     if R > traj.grid.half_extent:
         raise GridError(f"R={R} exceeds the domain half extent {traj.grid.half_extent}")
-    mask = traj.grid.radius_squared() <= R**2
-    times = np.array(traj.times)
-    sups = np.array([float(np.max(s.values[mask])) for s in traj.snapshots])
-    return times, sups
+    return np.flatnonzero(traj.grid.radius_squared() <= R**2)
 
 
 #: the conditional Coulomb regime's exponent s, in alpha = 1 + s and beta = s
@@ -88,19 +96,42 @@ def energy_drift(traj: Trajectory) -> float:
     return (traj.ledger[-1].energy - e0) / e0
 
 
-def _fit_window(traj: Trajectory, R: float, eq: ScalarField):
+class _Balls:
     """
-    Usable samples of a sup-norm history: drop the scheme transient
-    (t < 2 dt) and the approach to equilibrium (sup within a factor 2 of
-    the stationary level, the maximum of ``eq`` over the ball, where the
-    decay is exponential rather than self-similar).
+    The sup-norm history and the fit window of each ball of one trajectory,
+    each computed on first use, so that fits over the same radii share one
+    history per radius and one equilibrium.
     """
-    times, sups = linf_history(traj, R)
-    dt0 = traj.ledger[1].time - traj.ledger[0].time if len(traj.ledger) > 1 else 0.0
-    mask = traj.grid.radius_squared() <= R**2
-    floor = float(np.max(eq.values[mask]))
-    keep = (times > 2.0 * dt0) & (sups > 2.0 * floor)
-    return times[keep], sups[keep]
+
+    def __init__(self, traj: Trajectory):
+        self.traj = traj
+        self._history: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._window: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @functools.cached_property
+    def equilibrium(self) -> ScalarField:
+        return maxwellian(self.traj.grid)
+
+    def history(self, R: float) -> tuple[np.ndarray, np.ndarray]:
+        if R not in self._history:
+            self._history[R] = linf_history(self.traj, R)
+        return self._history[R]
+
+    def fit_window(self, R: float) -> tuple[np.ndarray, np.ndarray]:
+        """
+        Usable samples of the ball's history: drop the scheme transient
+        (t < 2 dt) and the approach to equilibrium (sup within a factor 2 of
+        the stationary level, the maximum of the equilibrium over the ball,
+        where the decay is exponential rather than self-similar).
+        """
+        if R not in self._window:
+            traj = self.traj
+            times, sups = self.history(R)
+            dt0 = traj.ledger[1].time - traj.ledger[0].time if len(traj.ledger) > 1 else 0.0
+            floor = float(self.equilibrium.values.take(_ball_nodes(traj, R)).max())
+            keep = (times > 2.0 * dt0) & (sups > 2.0 * floor)
+            self._window[R] = times[keep], sups[keep]
+        return self._window[R]
 
 
 def fit_decay(
@@ -119,14 +150,28 @@ def fit_decay(
     and flagged.  The flags also report the run's ``energy_drift``, which
     the scheme conserves only at equilibrium.
     """
+    return _fit_decay(_Balls(traj), R, theorem_id, R_sweep, hypothesis_flags)
+
+
+def fit_radii(traj: Trajectory, theorem_id: str, radii) -> list[tuple[RateFit, np.ndarray, np.ndarray]]:
+    """
+    ``fit_decay`` at each radius, each fit sweeping ``radii``, with the
+    times and sup norms of the history it fitted.  The fits share one
+    history per radius and one equilibrium.
+    """
+    balls = _Balls(traj)
+    return [(_fit_decay(balls, R, theorem_id, tuple(radii), None), *balls.history(R)) for R in radii]
+
+
+def _fit_decay(balls: _Balls, R: float, theorem_id: str, R_sweep, hypothesis_flags: dict | None) -> RateFit:
+    traj = balls.traj
     if theorem_id not in PREDICTED_EXPONENTS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     flags = {**(hypothesis_flags or {}), "energy_drift": energy_drift(traj)}
-    eq = maxwellian(traj.grid)
-    times, sups = _fit_window(traj, R, eq)
+    times, sups = balls.fit_window(R)
     if len(times) < 6:
         # saturated history (e.g. a stationary run): fit the raw curve and flag it
-        all_t, all_s = linf_history(traj, R)
+        all_t, all_s = balls.history(R)
         dt0 = traj.ledger[1].time - traj.ledger[0].time if len(traj.ledger) > 1 else 0.0
         keep = all_t > 2.0 * dt0
         times, sups = all_t[keep], all_s[keep]
@@ -156,7 +201,7 @@ def fit_decay(
         amps = []
         for r in R_sweep:
             try:
-                t_r, s_r = _fit_window(traj, r, eq)
+                t_r, s_r = balls.fit_window(r)
                 if len(t_r) < 6:
                     continue
                 amps.append((math.log(r), line_fit(np.log1p(1.0 / t_r), np.log(s_r))[1]))

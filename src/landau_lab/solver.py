@@ -6,14 +6,17 @@ the split divergence form, with a conservation/entropy ledger.
 data once (its cell weight, temperature and centred velocities with it),
 and at every step one coefficient bundle and one split operator, which the
 ledger row and the step both read; nothing below ``simulate`` rebuilds
-either.  The stepper freezes the nonlocal coefficients at the step start,
-treats diffusion implicitly and the drift explicitly.  The diffusion
-operator S is assembled once per step by ``diffusion_matrix``, its 13-point
-stencil written straight into diagonal storage, and the split operator keeps
-only that matrix.  The implicit system T = diag(M) - dt S is never stored:
-it is solved in two precisions, an outer refinement loop keeping the
-residual rhs - (M u - dt S u) in float64 and stopping on it, and each of its
-passes running conjugate gradients in float32 on the Jacobi-scaled system
+either.  The bundle is one coefficient pass per state: A, h and the drift
+come from one ``fft_convolve`` call (one forward transform of f for gamma
+< 0, one moment pass at gamma = 0).  The stepper freezes the nonlocal
+coefficients at the step start, treats diffusion implicitly and the drift
+explicitly.  The diffusion operator S is assembled once per step by
+``diffusion_matrix``, its 13-point stencil written straight into diagonal
+storage, and the split operator keeps only that matrix.  The implicit
+system T = diag(M) - dt S is never stored: it is solved in two
+precisions, an outer refinement loop keeping the residual
+rhs - (M u - dt S u) in float64 and stopping on it, and each of its passes
+running conjugate gradients in float32 on the Jacobi-scaled system
 diag(w) T diag(w), w = diag(T)^(-1/2), which ``krylov_matrix`` builds once
 per step from the diagonals of S.  The scaling is what makes float32 usable:
 T's diagonal follows the reference Gaussian down below float32's range,
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .coefficients import CoefficientBundle, build_coefficients
+from .coefficients import CoefficientBundle, _build_bundle
 from .errors import GridError, IterationError, LandauLabError, NonNegativityError
 from .grid import ScalarField, VelocityGrid, moments
 from .operators import (
@@ -435,6 +438,8 @@ def simulate(
 ) -> Trajectory:
     """
     March to t_final recording snapshots every ``snapshot_stride`` steps.
+    Each state's coefficients, the drift included, come from one
+    ``fft_convolve`` call, and its split operator reads them all.
     ``t_ramp`` bounds dt by ramp * (t + first step) so early times stay
     resolved.  Aborts when the ledger mass drifts beyond ``MASS_DRIFT_TOL``,
     reporting the mass clipping has added so far and the most nodes clipped
@@ -460,7 +465,7 @@ def simulate(
     ledger: list[LedgerRow] = []
     clipped_total, negatives_max = 0.0, 0
     k = 0
-    split = make_split_operator(build_coefficients(f, gamma), ref)
+    split = make_split_operator(_build_bundle(f, gamma, drift=True), ref)
     while True:
         row = _ledger_row(k, time, stats, split)
         ledger.append(row)
@@ -488,7 +493,7 @@ def simulate(
         # next step's temporaries and the heap grows (N=32: a 4-5 MB higher peak)
         held = split.matrix
         del split
-        split = make_split_operator(build_coefficients(f, gamma), ref)
+        split = make_split_operator(_build_bundle(f, gamma, drift=True), ref)
         del held
         time += dt
         k += 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from landau_lab import cli
+from landau_lab import cli, rates
 from landau_lab.errors import ConfigError
 from landau_lab.grid import make_grid, maxwellian, write_field
 from landau_lab.report import sha256_file
@@ -371,6 +371,76 @@ def test_rates_command_checks_every_radius_before_writing(tmp_path, capsys):
     assert "R=6 exceeds the domain half extent 4.0" in capsys.readouterr().err
     assert cli.main(["rates", str(run_dir), "--R", "2,6,8", "--out", str(fits)]) == 1
     assert "R=6, 8 exceed the domain half extent 4.0" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def rates_run(tmp_path_factory):
+    """An N=12, L=4 run with 14 snapshots that the rate fits accept at R = 2, 3 and 4."""
+    tmp = tmp_path_factory.mktemp("rates")
+    cfg = minimal_config(
+        grid={"dim": 3, "half_extent": 4.0, "points_per_axis": 12},
+        initial_profile={"kind": "squeezed_gaussian", "sigma": 0.3},
+        t_final=1.0,
+        dt={"t_ramp": 0.3, "dt_max": 0.1},
+    )
+    run_dir = tmp / "run"
+    assert cli.main(["simulate", "--config", str(write_config(tmp, cfg)), "--out", str(run_dir)]) == 0
+    return run_dir
+
+
+@pytest.mark.parametrize(
+    "radii, code, message",
+    [
+        ("0", 1, "R=0 must be finite and > 0"),
+        ("nan", 1, "R=nan must be finite and > 0"),
+        ("-1,2", 1, "R=-1 must be finite and > 0"),
+        ("0,2,6,nan", 1, "R=0, nan must be finite and > 0; R=6 exceeds the domain half extent 4.0"),
+        ("2,abc", 2, "--R must be comma-separated numbers, got '2,abc'"),
+        ("", 2, "no ball radius given"),
+    ],
+)
+def test_rates_command_refuses_bad_radii(rates_run, tmp_path, capsys, radii, code, message):
+    fits = tmp_path / "fits"
+    assert cli.main(["rates", str(rates_run), f"--R={radii}", "--out", str(fits)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not fits.exists()
+
+
+def test_rates_command_computes_each_history_once(rates_run, tmp_path, monkeypatch):
+    radii = [1.5, 2.0, 3.0, 4.0]
+    traj = cli.load_trajectory(rates_run)
+    expected = [rates.fit_decay(traj, R, "coulomb", R_sweep=tuple(radii)).to_dict() for R in radii]
+    counts = {"linf_history": 0, "maxwellian": 0}
+
+    def counted(name):
+        original = getattr(rates, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rates, name, wrapper)
+
+    for name in counts:
+        counted(name)
+    fits = cli.cmd_rates(rates_run, "coulomb", radii, tmp_path / "fits")
+    # one history per radius and one equilibrium for all four fits, each with its sweep
+    assert counts == {"linf_history": 4, "maxwellian": 1}
+    assert [fit.to_dict() for fit in fits] == expected
+
+
+@pytest.mark.parametrize("which", ["rates", "diagnose"])
+def test_missing_target_is_one_error_line(tmp_path, capsys, which):
+    missing = tmp_path / "nothere"
+    out = tmp_path / "out"
+    args = ["rates", str(missing)] if which == "rates" else ["diagnose", str(missing), "--which", "weights"]
+    assert cli.main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: No such file or directory: ") and err.count("\n") == 1
+    assert str(missing) in err
+    assert not out.exists()
 
 
 def test_load_trajectory_roundtrip(tmp_path, monkeypatch):

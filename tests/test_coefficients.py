@@ -212,6 +212,25 @@ def _recording_convolve(monkeypatch) -> list[list[str]]:
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, -3.0])
+def test_stepper_bundle_convolves_the_drift_with_the_rest(gamma, monkeypatch, rng):
+    # the time stepper's bundle: one block of A, h (unless gamma = -3) and the
+    # drift, whose rows are the bytes the lazy read of any other bundle yields
+    f = random_density(make_grid(3, 4.0, 16), rng)
+    lazy = co.build_coefficients(f, gamma)
+    lazy_drift = lazy.drift
+    calls = _recording_convolve(monkeypatch)
+    bundle = co._build_bundle(f, gamma, drift=True)
+    drift = bundle.drift
+    assert calls == [co._built_kinds(gamma) + co._DRIFT_KINDS]
+    assert bundle.drift is drift
+    for b, ref in zip(drift, lazy_drift, strict=True):
+        assert b.values.tobytes() == ref.values.tobytes()
+    assert bundle.A.comps.tobytes() == lazy.A.comps.tobytes()
+    assert bundle.h.values.tobytes() == lazy.h.values.tobytes()
+    assert bundle.a.values.tobytes() == lazy.a.values.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, -3.0])
 def test_drift_is_convolved_on_first_read_only(gamma, monkeypatch, rng):
     f = random_density(make_grid(3, 4.0, 16), rng)
     # one block of all the bundle's kinds: A rows 0-5, the drift rows 6-8, then h

@@ -37,6 +37,12 @@ def test_linf_history_basics(stationary_traj, maxwellian16):
     ) if False else None
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), float("inf")])
+def test_linf_history_refuses_empty_or_unbounded_balls(stationary_traj, R):
+    with pytest.raises(GridError, match="must be finite and > 0"):
+        linf_history(stationary_traj, R)
+
+
 def test_linf_history_zero_field(grid16):
     from landau_lab.solver import Trajectory
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from diffusion_oracle import matrix_free
 
-from landau_lab import solver
+from landau_lab import coefficients, solver
 from landau_lab.coefficients import build_coefficients
 from landau_lab.errors import IterationError, NonNegativityError
 from landau_lab.grid import ScalarField, counterexample_profile, make_grid, maxwellian, moments, squeezed_gaussian
@@ -105,6 +105,23 @@ def test_simulate_builds_reference_once_and_drift_once_per_row(grid16, monkeypat
     assert len(traj.ledger) == 21  # 20 steps
     # one reference per run; the ledger's Q and the step's drift share one divergence
     assert calls == {"cell_corner_geomean": 1, "drift_divergence": 21}
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_simulate_makes_one_coefficient_pass_per_state(grid16, gamma, monkeypatch):
+    # every state's bundle convolves A, h and the drift in one call, so
+    # reading the drift in the split operator convolves nothing more
+    calls = []
+    convolve = coefficients.fft_convolve
+
+    def recording(f, g, kinds):
+        calls.append(list(kinds))
+        return convolve(f, g, kinds)
+
+    monkeypatch.setattr(coefficients, "fft_convolve", recording)
+    traj = simulate(squeezed_gaussian(grid16, 0.5, 0.5), gamma, 0.05, dt_fixed=0.01)
+    assert len(traj.ledger) == 6  # 5 steps
+    assert calls == [coefficients._built_kinds(gamma) + coefficients._DRIFT_KINDS] * 6
 
 
 def test_simulate_rejects_nonterminating_settings(maxwellian16):
